@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,15 +15,23 @@ import (
 	"repro/internal/qws"
 )
 
-// The shuffle suite isolates the data-movement path the block-framed
-// shuffle replaced: partition assignment, emit, shuffle and reducer-side
-// assembly, with an identity reduce so no kernel time dilutes the
-// measurement. The classic row runs the Pair plumbing (string keys, one
-// []byte value per point); the framed row runs the same workload through
-// RunFrames. Both see identical inputs and an identical partitioner.
-const shuffleNote = "identity reduce: rows time pure shuffle work, not skyline kernels; " +
-	"shuffle_bytes are payload semantics — key+value bytes on the classic path, " +
-	"frame payload bytes (header + packed coords, no gob envelope) on the framed path"
+// The shuffle suite isolates the engine's data-movement path: partition
+// assignment, emit, frame sealing, shuffle and reducer-side assembly,
+// with an identity reduce so no kernel time dilutes the measurement. The
+// framed row is gated against absolute baselines: the framed row of
+// BENCH_shuffle.json as committed before the per-point Pair engine was
+// deleted (n=100000, d=6, 4 reducers, one-core container).
+const shuffleNote = "identity reduce: the row times pure shuffle work, not skyline kernels; " +
+	"shuffle_bytes are frame payload bytes (header + packed coords, no gob envelope); " +
+	"gated against the committed pre-change framed row (records/s at most max_slowdown " +
+	"below baseline, allocs/point at most baseline)"
+
+// Committed pre-change framed-row baselines and the allowed slowdown.
+const (
+	baselineRecordsPerSec  = 3343153.2889273427
+	baselineAllocsPerPoint = 0.00345
+	shuffleMaxSlowdown     = 1.10
+)
 
 type shuffleRow struct {
 	Path           string  `json:"path"`
@@ -36,20 +43,19 @@ type shuffleRow struct {
 }
 
 type shuffleReport struct {
-	Timestamp  string     `json:"timestamp"`
-	N          int        `json:"n"`
-	D          int        `json:"d"`
-	Reducers   int        `json:"reducers"`
-	Runs       int        `json:"runs"`
-	Quick      bool       `json:"quick"`
-	Classic    shuffleRow `json:"classic"`
-	Framed     shuffleRow `json:"framed"`
-	Throughput float64    `json:"throughput_ratio"`
-	BytesRatio float64    `json:"bytes_ratio"`
-	MinSpeedup float64    `json:"min_speedup"`
-	Gated      bool       `json:"gated"`
-	Pass       bool       `json:"pass"`
-	Notes      string     `json:"notes"`
+	Timestamp              string     `json:"timestamp"`
+	N                      int        `json:"n"`
+	D                      int        `json:"d"`
+	Reducers               int        `json:"reducers"`
+	Runs                   int        `json:"runs"`
+	Quick                  bool       `json:"quick"`
+	Framed                 shuffleRow `json:"framed"`
+	BaselineRecordsPerSec  float64    `json:"baseline_records_per_sec"`
+	BaselineAllocsPerPoint float64    `json:"baseline_allocs_per_point"`
+	MaxSlowdown            float64    `json:"max_slowdown"`
+	Gated                  bool       `json:"gated"`
+	Pass                   bool       `json:"pass"`
+	Notes                  string     `json:"notes"`
 }
 
 // measureShuffle times fn best-of-runs, then takes one extra instrumented
@@ -75,7 +81,7 @@ func measureShuffle(path string, n, runs int, fn func() (records, bytes int64)) 
 	}
 }
 
-func shuffleSuite(n, d, nodes, runs int, min float64, quick bool, out string) {
+func shuffleSuite(n, d, nodes, runs int, quick bool, out string) {
 	fmt.Fprintf(os.Stderr, "benchgate: shuffle suite n=%d d=%d reducers=%d runs=%d\n", n, d, nodes, runs)
 	data := qws.Dataset(2012, n, d)
 	part, err := partition.New(partition.Angular, data, nodes)
@@ -89,34 +95,6 @@ func shuffleSuite(n, d, nodes, runs int, min float64, quick bool, out string) {
 	}
 	ctx := context.Background()
 	cfg := mapreduce.Config{Name: "shuffle-bench", Workers: nodes, Reducers: nodes}
-
-	classic := func() (int64, int64) {
-		mapper := mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-			p, err := points.Decode(rec)
-			if err != nil {
-				return err
-			}
-			id, err := part.Assign(p)
-			if err != nil {
-				return err
-			}
-			emit(strconv.Itoa(id), rec)
-			return nil
-		})
-		identity := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-			for _, v := range values {
-				emit(key, v)
-			}
-			return nil
-		})
-		res, err := mapreduce.Run(ctx, cfg, input, mapper, identity)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate: classic shuffle failed:", err)
-			os.Exit(2)
-		}
-		snap := res.Counters.Snapshot()
-		return snap[mapreduce.CounterShuffle], snap[mapreduce.CounterShuffleBytes]
-	}
 
 	scratch := sync.Pool{New: func() any {
 		p := make(points.Point, 0, d)
@@ -153,36 +131,34 @@ func shuffleSuite(n, d, nodes, runs int, min float64, quick bool, out string) {
 	}
 
 	rep := shuffleReport{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		N:          n,
-		D:          d,
-		Reducers:   nodes,
-		Runs:       runs,
-		Quick:      quick,
-		MinSpeedup: min,
-		Gated:      !quick,
-		Notes:      shuffleNote,
+		Timestamp:              time.Now().UTC().Format(time.RFC3339),
+		N:                      n,
+		D:                      d,
+		Reducers:               nodes,
+		Runs:                   runs,
+		Quick:                  quick,
+		BaselineRecordsPerSec:  baselineRecordsPerSec,
+		BaselineAllocsPerPoint: baselineAllocsPerPoint,
+		MaxSlowdown:            shuffleMaxSlowdown,
+		Gated:                  !quick,
+		Notes:                  shuffleNote,
 	}
-	rep.Classic = measureShuffle("classic_pairs", n, runs, classic)
 	rep.Framed = measureShuffle("block_frames", n, runs, framed)
-	rep.Throughput = rep.Framed.RecordsPerSec / rep.Classic.RecordsPerSec
-	rep.BytesRatio = float64(rep.Framed.ShuffleBytes) / float64(rep.Classic.ShuffleBytes)
 
 	rep.Pass = true
 	if !quick {
-		if rep.Throughput < min {
+		if rep.Framed.RecordsPerSec*shuffleMaxSlowdown < baselineRecordsPerSec {
 			rep.Pass = false
 		}
-		if rep.Framed.AllocsPerPoint >= rep.Classic.AllocsPerPoint {
+		if rep.Framed.AllocsPerPoint > baselineAllocsPerPoint {
 			rep.Pass = false
 		}
 	}
-	for _, r := range []shuffleRow{rep.Classic, rep.Framed} {
-		fmt.Fprintf(os.Stderr, "  %-14s wall=%-12s records/s=%-12.0f shuffle_bytes=%-10d allocs/pt=%.2f\n",
-			r.Path, time.Duration(r.WallNS), r.RecordsPerSec, r.ShuffleBytes, r.AllocsPerPoint)
-	}
-	fmt.Fprintf(os.Stderr, "  throughput ratio %.2fx, shuffle-byte ratio %.2fx\n",
-		rep.Throughput, rep.BytesRatio)
+	r := rep.Framed
+	fmt.Fprintf(os.Stderr, "  %-14s wall=%-12s records/s=%-12.0f shuffle_bytes=%-10d allocs/pt=%.5f\n",
+		r.Path, time.Duration(r.WallNS), r.RecordsPerSec, r.ShuffleBytes, r.AllocsPerPoint)
+	fmt.Fprintf(os.Stderr, "  baseline records/s=%.0f (floor %.0f), allocs/pt<=%.5f\n",
+		baselineRecordsPerSec, baselineRecordsPerSec/shuffleMaxSlowdown, baselineAllocsPerPoint)
 
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -195,7 +171,7 @@ func shuffleSuite(n, d, nodes, runs int, min float64, quick bool, out string) {
 	}
 	fmt.Fprintf(os.Stderr, "benchgate: wrote %s\n", out)
 	if !rep.Pass {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — framed shuffle below %.2fx throughput or did not cut allocs/point\n", min)
+		fmt.Fprintln(os.Stderr, "benchgate: FAIL — framed shuffle slower than the baseline allows or allocates more per point")
 		os.Exit(1)
 	}
 }

@@ -2,21 +2,26 @@
 // sequential skyline kernels into the paper's three algorithms — MR-Dim,
 // MR-Grid and MR-Angle (Algorithm 1) — as the two-job pipeline:
 //
-//	Job 1 (Partitioning Job): map each point to its partition key; a
-//	combiner and the reducer run the BNL kernel per partition, producing
-//	local skylines.
+//	Job 1 (Partitioning Job): map each point to its partition; a combiner
+//	and the reducer run the skyline kernel per partition, producing local
+//	skylines.
 //
-//	Job 2 (Merging Job): map every local skyline point to one shared key;
-//	a single reduce merges them with BNL into the global skyline.
+//	Job 2 (Merging Job): map every local skyline point to one shared
+//	partition; a single reduce merges them into the global skyline.
 //
-// The driver also implements MR-Grid's cell-level dominance pruning and
-// collects the per-partition local skylines needed by the paper's local
-// skyline optimality metric (Eq. 5).
+// Both jobs run on the engine's block-framed shuffle. When the merge
+// must not land on one reducer (HierarchicalMerge, ComputeStream), Job 2
+// becomes the multi-round merge schedule instead. The driver also
+// implements MR-Grid's cell-level dominance pruning and collects the
+// per-partition local skylines needed by the paper's local skyline
+// optimality metric (Eq. 5).
 package driver
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,22 +51,10 @@ type Options struct {
 	Kernel skyline.Algorithm
 	// KernelOverride, when non-nil, replaces Kernel with an arbitrary
 	// skyline function (e.g. the R-tree BBS from package rtree, which has
-	// no Algorithm enum value because it carries index state).
+	// no Algorithm enum value because it carries index state). It runs
+	// inside the block combiners and reducers through a Set round-trip.
+	// The budgeted folds and the merge schedule keep their own BNL.
 	KernelOverride skyline.Func
-	// ClassicKernel forces the classic points.Set kernels instead of the
-	// default flat-memory block kernels (contiguous coordinates,
-	// dimension-specialized dominance, parallel merge tree). The two paths
-	// produce identical skylines; this is the escape hatch for comparison
-	// runs and for exotic inputs. Ignored when KernelOverride is set (an
-	// override is always classic-path).
-	ClassicKernel bool
-	// ClassicShuffle forces the classic per-Pair shuffle (string keys, one
-	// Pair per point) instead of the default block-framed shuffle, which
-	// moves packed point frames between phases. Implied by ClassicKernel
-	// or KernelOverride — frames only exist on the flat block path. Both
-	// shuffles produce identical skylines; this is the escape hatch
-	// mirroring ClassicKernel.
-	ClassicShuffle bool
 	// PartitionerOverride, when non-nil, replaces the Scheme-fitted
 	// partitioner with a pre-built one (experimental partitioners such as
 	// the angular+radial hybrid). Scheme is then only a label.
@@ -76,9 +69,9 @@ type Options struct {
 	SpillDir string
 	// Codec selects the wire codec for the framed shuffle: the zero value
 	// keeps raw v1 frames, points.FrameAuto enables the bit-packed v2
-	// encoding wherever it is smaller. Ignored on the classic paths.
+	// encoding wherever it is smaller.
 	Codec points.FrameCodec
-	// ReducerBudgetBytes, when > 0, switches the framed reducers to the
+	// ReducerBudgetBytes, when > 0, switches the reducers to the
 	// memory-budgeted streaming fold: frames are folded one at a time into
 	// a bounded skyline window that spills and multi-passes when the local
 	// skyline outgrows it, so reduce memory stays near the budget instead
@@ -86,12 +79,15 @@ type Options struct {
 	// reducers.
 	ReducerBudgetBytes int64
 	// HierarchicalMerge enables the paper's §II iterative extension: the
-	// merge proceeds in rounds of MergeFanIn-way partial merges instead of
-	// a single global reduce — the Twister-style iterative MapReduce path
-	// for registries whose local skylines are too large for one reducer.
+	// merge runs as the multi-round merge schedule — rounds of partial
+	// merges of at most MergeFanIn local skylines each (and, when
+	// ReducerBudgetBytes is set, at most that many candidate bytes) —
+	// instead of a single global reduce: the Twister-style iterative
+	// MapReduce path for registries whose local skylines are too large
+	// for one reducer.
 	HierarchicalMerge bool
-	// MergeFanIn is the per-round fan-in of the hierarchical merge
-	// (default 8, minimum 2).
+	// MergeFanIn caps how many local skylines one hierarchical merge
+	// group folds (default 8, minimum 2).
 	MergeFanIn int
 	// Metrics, when non-nil, receives skyline-level series (per-partition
 	// local skyline sizes, pruned-cell counts) and is passed through to
@@ -113,21 +109,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// flatPath reports whether the options select the flat block kernels.
-func (o Options) flatPath() bool {
-	return !o.ClassicKernel && o.KernelOverride == nil
-}
-
 // kernelFunc resolves the sequential Set-typed kernel: the override when
-// given, otherwise the flat or classic implementation of o.Kernel.
+// given, otherwise the flat implementation of o.Kernel.
 func (o Options) kernelFunc() skyline.Func {
 	if o.KernelOverride != nil {
 		return o.KernelOverride
 	}
-	if o.ClassicKernel {
-		return skyline.ByAlgorithm(o.Kernel)
-	}
 	return skyline.ByAlgorithmFlat(o.Kernel)
+}
+
+// blockKernel resolves the block kernel the combiners and reducers run:
+// the override through a Set round-trip when given, otherwise the flat
+// kernel of o.Kernel.
+func (o Options) blockKernel() skyline.BlockFunc {
+	if o.KernelOverride != nil {
+		return skyline.BlockFuncOf(o.KernelOverride)
+	}
+	return skyline.BlockByAlgorithm(o.Kernel)
+}
+
+// combiner returns the map-side local-skyline combiner, nil when
+// DisableCombiner ablates it.
+func (o Options) combiner(kernel skyline.BlockFunc) mapreduce.FrameCombiner {
+	if o.DisableCombiner {
+		return nil
+	}
+	return mapreduce.KernelCombiner(kernel)
 }
 
 // Stats reports what happened inside one computation.
@@ -148,15 +155,16 @@ type Stats struct {
 	// Counters merges both jobs' framework counters.
 	Counters map[string]int64
 	// ReducerPeakBytes is the largest reducer-resident working set any
-	// reduce task or merge fold reached (0 when the budgeted streaming
-	// path was off).
+	// streaming reduce task or merge-schedule fold reached (0 when
+	// neither ran).
 	ReducerPeakBytes int64
 	// MergePasses is the largest BudgetedFold pass count any fold needed
 	// (>1 means a skyline overflowed its window and multi-passed).
 	MergePasses int
-	// MergeRounds counts the rounds of ComputeStream's multi-round merge
-	// schedule; MergeRoundBytes[i] is the candidate volume entering round
-	// i. Zero/nil when the merge ran as a single job.
+	// MergeRounds counts the rounds of the multi-round merge schedule
+	// (ComputeStream, HierarchicalMerge); MergeRoundBytes[i] is the
+	// candidate volume entering round i. Zero/nil when the merge ran as a
+	// single job.
 	MergeRounds     int
 	MergeRoundBytes []int64
 }
@@ -174,6 +182,11 @@ func (s *Stats) LocalSkylineTotal() int {
 // Compute runs the selected MapReduce skyline algorithm over data and
 // returns the global skyline plus execution statistics. The input set must
 // be non-empty, uniform-dimensional and finite.
+//
+// Points travel between phases as packed frames keyed by integer
+// partition id; the local-skyline combiner runs directly on each
+// assembled block before its frame is sealed, and reducers ingest whole
+// frames into contiguous blocks.
 func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *Stats, error) {
 	if err := data.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("driver: %w", err)
@@ -222,24 +235,14 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 		}
 	}
 
-	// Kernel selection: the flat block path is the default; ClassicKernel
-	// (or a KernelOverride, which is inherently Set-typed) restores the
-	// classic kernels. The dominance-test delta of the whole computation is
-	// bridged into the registry on every exit path.
-	flat := opts.flatPath()
-	kernel := opts.kernelFunc()
+	// The dominance-test delta of the whole computation is bridged into
+	// the registry on every exit path.
+	blockKernel := opts.blockKernel()
 	if reg := opts.Metrics; reg != nil {
 		domBefore := skyline.DominanceTests()
 		defer func() {
 			reg.Counter("skyline_dominance_tests_total").Add(skyline.DominanceTests() - domBefore)
 		}()
-	}
-
-	// Frame shuffle is the default on the flat path: intermediate data
-	// moves as packed point frames instead of per-point Pairs.
-	// ClassicShuffle restores the Pair path below as the escape hatch.
-	if flat && !opts.ClassicShuffle {
-		return computeFramed(ctx, data, opts, part, pruned, stats)
 	}
 
 	// ---- Job 1: Partitioning Job ------------------------------------
@@ -251,162 +254,180 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 	// Occupancy is counted here in the mapper (atomically — map tasks run
 	// concurrently) rather than by a second full Assign pass after the
 	// job: the angular transform per point is the pipeline's single
-	// largest cost, and the histogram re-ran all of it just for
-	// diagnostics.
+	// largest cost. The pooled scratch removes the per-record Decode
+	// allocation (the decoded point lives only for one Assign).
 	occCounts := make([]int64, part.Partitions())
-	// The mapper runs once per input point from several goroutines; the
-	// pooled scratch removes the per-record Decode allocation (the decoded
-	// point lives only for one Assign) and the precomputed key table the
-	// per-record strconv.Itoa one.
-	keys := make([]string, part.Partitions())
-	for id := range keys {
-		keys[id] = strconv.Itoa(id)
-	}
 	scratch := sync.Pool{New: func() any {
 		p := make(points.Point, 0, data.Dim())
 		return &p
 	}}
-	mapper := mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
+	mapper := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
 		buf := scratch.Get().(*points.Point)
 		p, err := points.DecodeInto(*buf, rec)
 		if err != nil {
 			return err
 		}
-		id, err := part.Assign(p)
+		id, assignErr := part.Assign(p)
+		if assignErr == nil {
+			atomic.AddInt64(&occCounts[id], 1)
+			if pruned == nil || !pruned[id] {
+				// emit copies the coordinates into the partition's block
+				// immediately, so the scratch point can be recycled.
+				emit(id, p)
+			}
+		}
 		*buf = p[:0]
 		scratch.Put(buf)
-		if err != nil {
-			return err
-		}
-		atomic.AddInt64(&occCounts[id], 1)
-		if pruned != nil && pruned[id] {
-			return nil // cell provably dominated: drop at the source
-		}
-		emit(keys[id], rec)
-		return nil
+		return assignErr
 	})
-	var flatKernel skyline.BlockFunc
-	if flat {
-		flatKernel = skyline.BlockByAlgorithm(opts.Kernel)
-	}
-	localSkyline := skylineReducer(kernel, flatKernel)
 	cfg1 := mapreduce.Config{
-		Name:     fmt.Sprintf("%s-partitioning", opts.Scheme),
-		Workers:  opts.Workers,
-		Reducers: opts.Workers,
-		SpillDir: opts.SpillDir,
-		Metrics:  opts.Metrics,
-		Trace:    traceSink(ctx),
+		Name:               fmt.Sprintf("%s-partitioning", opts.Scheme),
+		Workers:            opts.Workers,
+		Reducers:           opts.Workers,
+		SpillDir:           opts.SpillDir,
+		Metrics:            opts.Metrics,
+		Trace:              traceSink(ctx),
+		Codec:              opts.Codec,
+		ReducerBudgetBytes: opts.ReducerBudgetBytes,
 	}
-	if !opts.DisableCombiner {
-		cfg1.Combiner = localSkyline
-	}
-	res1, err := mapreduce.Run(ctx, cfg1, input, mapper, localSkyline)
+	res1, err := runSkylineJob(ctx, cfg1, input, mapper, opts.combiner(blockKernel),
+		mapreduce.KernelReducer(blockKernel), data.Dim(), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Collect local skylines and partition occupancy for the stats/metrics.
-	for _, pair := range res1.Pairs {
-		id, err := strconv.Atoi(pair.Key)
-		if err != nil || id < 0 || id >= part.Partitions() {
-			return nil, nil, fmt.Errorf("driver: bad partition key %q", pair.Key)
+	stats.ReducerPeakBytes = res1.ReducerPeakBytes
+	stats.MergePasses = res1.MergePasses
+	for id, blk := range res1.Blocks {
+		if id < 0 || id >= part.Partitions() {
+			return nil, nil, fmt.Errorf("driver: bad partition id %d in frame output", id)
 		}
-		p, err := points.Decode(pair.Value)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.LocalSkylines[id] = append(stats.LocalSkylines[id], p)
+		stats.LocalSkylines[id] = blk.ToSet()
 	}
-	// Occupancy histogram, accumulated by the mapper during the job.
 	counts := make([]int, len(occCounts))
 	for id := range occCounts {
 		counts[id] = int(atomic.LoadInt64(&occCounts[id]))
 	}
 	stats.PartitionCounts = counts
 	publishPartitionGauges(opts.Metrics, stats)
+	stats.PartitionJob = res1.Timing
+	stats.Timing = res1.Timing
+	stats.Counters = res1.Counters.Snapshot()
 
 	// ---- Job 2: Merging Job -----------------------------------------
+	var global points.Set
 	if opts.HierarchicalMerge {
-		stats.PartitionJob = res1.Timing
-		stats.Timing = res1.Timing
-		var mergeTiming mapreduce.Timing
-		global, err := hierarchicalMerge(ctx, opts, res1.Pairs, localSkyline, &mergeTiming)
-		if err != nil {
-			return nil, nil, err
+		budget := opts.ReducerBudgetBytes
+		if budget <= 0 {
+			budget = math.MaxInt64
 		}
-		stats.MergeJob = mergeTiming
-		stats.Timing.Add(mergeTiming)
-		stats.Counters = res1.Counters.Snapshot()
-		feedRecorder(ctx, opts, stats, global, nil)
-		return global, stats, nil
+		fanIn := opts.MergeFanIn
+		if fanIn < 2 {
+			fanIn = 8
+		}
+		global, err = mergeBlocks(ctx, res1.Blocks, data.Dim(), budget, fanIn, opts, stats)
+	} else {
+		global, err = mergeJob(ctx, res1.Blocks, data.Dim(), blockKernel, opts, stats)
 	}
-
-	mergeInput := make([][]byte, len(res1.Pairs))
-	for i, pair := range res1.Pairs {
-		mergeInput[i] = pair.Value
-	}
-	const globalKey = "global"
-	identity := mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-		emit(globalKey, rec) // paper line 13: output(null, si)
-		return nil
-	})
-	cfg2 := mapreduce.Config{
-		Name:     fmt.Sprintf("%s-merging", opts.Scheme),
-		Workers:  opts.Workers,
-		Reducers: 1, // all local skylines share one key (paper line 12-15)
-		SpillDir: opts.SpillDir,
-		Metrics:  opts.Metrics,
-		Trace:    traceSink(ctx),
-	}
-	if !opts.DisableCombiner {
-		// Pre-merge each map task's share before the single reducer sees
-		// it, trimming the serial merge input.
-		cfg2.Combiner = localSkyline
-	}
-	// The single global reduce is the pipeline's serial bottleneck; on the
-	// flat path it runs the parallel merge tree (chunked block BNL, then
-	// pairwise cross-filter merges across goroutines) instead of one
-	// sequential BNL over the whole candidate union.
-	mergeReduce := localSkyline
-	if flat {
-		mergeReduce = mergeTreeReducer(ctx, opts.Workers)
-	}
-	res2, err := mapreduce.Run(ctx, cfg2, mergeInput, identity, mergeReduce)
 	if err != nil {
 		return nil, nil, err
-	}
-
-	global := make(points.Set, 0, len(res2.Pairs))
-	for _, pair := range res2.Pairs {
-		p, err := points.Decode(pair.Value)
-		if err != nil {
-			return nil, nil, err
-		}
-		global = append(global, p)
-	}
-
-	stats.PartitionJob = res1.Timing
-	stats.MergeJob = res2.Timing
-	stats.Timing = res1.Timing
-	stats.Timing.Add(res2.Timing)
-	stats.Counters = res1.Counters.Snapshot()
-	for k, v := range res2.Counters.Snapshot() {
-		stats.Counters[k] += v
 	}
 	if reg := opts.Metrics; reg != nil {
 		reg.Gauge("skyline_global_size").Set(float64(len(global)))
 	}
-	feedRecorder(ctx, opts, stats, global, nil)
+	feedRecorder(ctx, opts, stats, global, res1.Partitions)
 	return global, stats, nil
+}
+
+// mergeJob is the paper's Merging Job: every local skyline point goes to
+// one global partition, map tasks pre-merge their share with the
+// combiner, and the single reduce runs the parallel merge tree (or the
+// override kernel) over the candidate union. Its timing, counters and
+// fold peaks accumulate into stats.
+func mergeJob(ctx context.Context, locals map[int]*points.Block, dim int, blockKernel skyline.BlockFunc, opts Options, stats *Stats) (points.Set, error) {
+	var mergeInput [][]byte
+	for _, id := range sortedBlockIDs(locals) {
+		blk := locals[id]
+		for i := 0; i < blk.Len(); i++ {
+			mergeInput = append(mergeInput, points.Encode(points.Point(blk.Row(i))))
+		}
+	}
+	scratch := sync.Pool{New: func() any {
+		p := make(points.Point, 0, dim)
+		return &p
+	}}
+	identity := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+		buf := scratch.Get().(*points.Point)
+		p, err := points.DecodeInto(*buf, rec)
+		if err != nil {
+			return err
+		}
+		emit(0, p) // paper line 13: output(null, si) — one global partition
+		*buf = p[:0]
+		scratch.Put(buf)
+		return nil
+	})
+	cfg := mapreduce.Config{
+		Name:               fmt.Sprintf("%s-merging", opts.Scheme),
+		Workers:            opts.Workers,
+		Reducers:           1, // all local skylines share one partition (paper line 12-15)
+		SpillDir:           opts.SpillDir,
+		Metrics:            opts.Metrics,
+		Trace:              traceSink(ctx),
+		Codec:              opts.Codec,
+		ReducerBudgetBytes: opts.ReducerBudgetBytes,
+	}
+	mergeKernel := blockKernel
+	if opts.KernelOverride == nil {
+		mergeKernel = func(blk *points.Block) *points.Block {
+			return skyline.ParallelBlock(ctx, blk, opts.Workers)
+		}
+	}
+	res, err := runSkylineJob(ctx, cfg, mergeInput, identity, opts.combiner(blockKernel),
+		mapreduce.KernelReducer(mergeKernel), dim, opts)
+	if err != nil {
+		return nil, err
+	}
+	stats.ReducerPeakBytes = max(stats.ReducerPeakBytes, res.ReducerPeakBytes)
+	stats.MergePasses = max(stats.MergePasses, res.MergePasses)
+	stats.MergeJob = res.Timing
+	stats.Timing.Add(res.Timing)
+	for k, v := range res.Counters.Snapshot() {
+		stats.Counters[k] += v
+	}
+	var global points.Set
+	if blk := res.Blocks[0]; blk != nil {
+		global = blk.ToSet()
+	}
+	return global, nil
+}
+
+// runSkylineJob runs one skyline job: with a reducer budget the reduce
+// side streams frames through budgeted folds, otherwise each partition
+// is assembled and handed to reducer.
+func runSkylineJob(ctx context.Context, cfg mapreduce.Config, input [][]byte, mapper mapreduce.FrameMapper, combiner mapreduce.FrameCombiner, reducer mapreduce.FrameReducer, dim int, opts Options) (*mapreduce.FrameResult, error) {
+	if opts.ReducerBudgetBytes > 0 {
+		return mapreduce.RunFramesFold(ctx, cfg, input, mapper, combiner,
+			mapreduce.BudgetedFolder(dim, opts.ReducerBudgetBytes, opts.SpillDir, opts.Codec))
+	}
+	return mapreduce.RunFrames(ctx, cfg, input, mapper, combiner, reducer)
+}
+
+// sortedBlockIDs returns a frame result's partition ids ascending.
+func sortedBlockIDs(blocks map[int]*points.Block) []int {
+	ids := make([]int, 0, len(blocks))
+	for id := range blocks {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // feedRecorder hands one finished computation's per-partition evidence to
 // the context's flight recorder (no-op when recording is off): partition
 // occupancy as input load, local skyline sizes, the Eq. (5) survivor
 // counts — computed here where local and global skylines are both in
-// hand — and, on the framed path, per-partition shuffle bytes. The
-// rollups are then bridged into the run's metrics registry.
+// hand — and per-partition shuffle bytes. The rollups are then bridged
+// into the run's metrics registry.
 func feedRecorder(ctx context.Context, opts Options, stats *Stats, global points.Set, shuffle map[int]mapreduce.PartStat) {
 	rec := telemetry.RecorderFrom(ctx)
 	if rec == nil {
@@ -430,47 +451,6 @@ func feedRecorder(ctx context.Context, opts Options, stats *Stats, global points
 	rec.Publish(opts.Metrics)
 }
 
-// skylineReducer builds the local-skyline reducer shared by both jobs and
-// the hierarchical merge rounds: decode the group's points, run the
-// kernel, emit survivors under the same key. With a flat kernel the
-// values decode straight into one contiguous block — no per-point
-// allocation — and the block kernel's survivors are re-encoded from rows.
-func skylineReducer(classic skyline.Func, flat skyline.BlockFunc) mapreduce.Reducer {
-	if flat != nil {
-		return mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-			blk := points.NewBlock(0, len(values))
-			for _, v := range values {
-				if err := points.AppendDecode(blk, v); err != nil {
-					return err
-				}
-			}
-			sky := flat(blk)
-			for i := 0; i < sky.Len(); i++ {
-				emit(key, points.Encode(points.Point(sky.Row(i))))
-			}
-			return nil
-		})
-	}
-	return mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		set := make(points.Set, 0, len(values))
-		for _, v := range values {
-			p, err := points.Decode(v)
-			if err != nil {
-				return err
-			}
-			set = append(set, p)
-		}
-		for _, p := range classic(set) {
-			emit(key, points.Encode(p))
-		}
-		return nil
-	})
-}
-
-// mergeTreeReducer is the flat path's global reducer: all candidates land
-// under one key, get chunk-skylined concurrently and folded by the
-// parallel merge tree. ctx carries the run's tracer so each merge level
-// records a span.
 // traceSink bridges the context's event log (telemetry.WithEventLog)
 // into the engine's event stream, so in-process jobs narrate job/phase/
 // retry/spill transitions to /debug/events. Nil when no log is bound.
@@ -479,22 +459,6 @@ func traceSink(ctx context.Context) mapreduce.EventSink {
 		return mapreduce.NewLogSink(log)
 	}
 	return nil
-}
-
-func mergeTreeReducer(ctx context.Context, workers int) mapreduce.Reducer {
-	return mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		blk := points.NewBlock(0, len(values))
-		for _, v := range values {
-			if err := points.AppendDecode(blk, v); err != nil {
-				return err
-			}
-		}
-		sky := skyline.ParallelBlock(ctx, blk, workers)
-		for i := 0; i < sky.Len(); i++ {
-			emit(key, points.Encode(points.Point(sky.Row(i))))
-		}
-		return nil
-	})
 }
 
 // publishPartitionGauges exports the partition-level shape of a run:

@@ -10,56 +10,37 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestFlatMatchesClassic runs the full pipeline twice — default flat path
-// and the ClassicKernel escape hatch — across schemes and kernels and
-// requires identical skylines.
+// TestFlatMatchesClassic runs the full pipeline on its flat block
+// kernels across schemes and kernels and requires exactly the classic
+// Set-kernel BNL skyline, as a multiset.
 func TestFlatMatchesClassic(t *testing.T) {
 	data := qws.Dataset(7, 1500, 5)
+	want := skyline.BNL(data)
 	for _, scheme := range []partition.Scheme{partition.Dimensional, partition.Grid, partition.Angular} {
 		for _, kernel := range []skyline.Algorithm{skyline.BNLAlgorithm, skyline.SFSAlgorithm} {
-			flatSky, _, err := Compute(context.Background(), data,
+			got, _, err := Compute(context.Background(), data,
 				Options{Scheme: scheme, Nodes: 4, Kernel: kernel})
 			if err != nil {
-				t.Fatalf("%v/%v flat: %v", scheme, kernel, err)
+				t.Fatalf("%v/%v: %v", scheme, kernel, err)
 			}
-			classicSky, _, err := Compute(context.Background(), data,
-				Options{Scheme: scheme, Nodes: 4, Kernel: kernel, ClassicKernel: true})
-			if err != nil {
-				t.Fatalf("%v/%v classic: %v", scheme, kernel, err)
-			}
-			if len(flatSky) != len(classicSky) {
-				t.Fatalf("%v/%v: flat %d points, classic %d", scheme, kernel, len(flatSky), len(classicSky))
-			}
-			for _, p := range flatSky {
-				if !classicSky.Contains(p) {
-					t.Fatalf("%v/%v: flat point %v missing from classic skyline", scheme, kernel, p)
-				}
+			if !sameMultiset(got, want) {
+				t.Fatalf("%v/%v: %d points, BNL oracle %d", scheme, kernel, len(got), len(want))
 			}
 		}
 	}
 }
 
-// TestFlatHierarchicalMerge covers the flat reducers inside the iterative
-// merge rounds.
+// TestFlatHierarchicalMerge covers the flat kernels feeding the
+// multi-round merge schedule.
 func TestFlatHierarchicalMerge(t *testing.T) {
 	data := qws.Dataset(8, 1200, 4)
-	want, _, err := Compute(context.Background(), data,
-		Options{Scheme: partition.Angular, Nodes: 4, ClassicKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, _, err := Compute(context.Background(), data,
 		Options{Scheme: partition.Angular, Nodes: 4, HierarchicalMerge: true, MergeFanIn: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("hierarchical flat merge: %d points, want %d", len(got), len(want))
-	}
-	for _, p := range got {
-		if !want.Contains(p) {
-			t.Fatalf("hierarchical flat merge produced stray point %v", p)
-		}
+	if want := skyline.BNL(data); !sameMultiset(got, want) {
+		t.Fatalf("hierarchical flat merge: %d points, BNL oracle %d", len(got), len(want))
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // dupSet builds a uniform set and re-appends a slice of exact
-// duplicates, so multiset semantics of the two shuffle paths are
-// exercised, not just set semantics.
+// duplicates, so the shuffle's multiset semantics are exercised, not just
+// set semantics.
 func dupSet(seed int64, n, d int) points.Set {
 	s := uniformSet(seed, n, d)
 	for i := 0; i < n/10; i++ {
@@ -20,54 +20,51 @@ func dupSet(seed int64, n, d int) points.Set {
 	return s
 }
 
-// TestFrameShuffleMatchesClassicShuffle is the in-process equivalence
-// property: for every scheme and a spread of dimensions, the framed
-// pipeline and the ClassicShuffle escape hatch produce the same global
-// skyline, which also matches the oracle.
-func TestFrameShuffleMatchesClassicShuffle(t *testing.T) {
+// TestFrameShuffleMatchesOracle is the in-process equivalence property:
+// for every scheme and a spread of dimensions, on duplicate-heavy input,
+// the framed pipeline's global skyline is the BNL skyline as a multiset,
+// and every local skyline is the BNL skyline of its partition's points.
+func TestFrameShuffleMatchesOracle(t *testing.T) {
 	for _, d := range []int{2, 4, 6} {
 		data := dupSet(int64(100+d), 700, d)
-		want := skyline.Naive(data)
+		want := skyline.BNL(data)
 		for _, scheme := range allSchemes() {
-			framed, fstats, err := Compute(context.Background(), data, Options{Scheme: scheme, Nodes: 4})
+			got, stats, err := Compute(context.Background(), data, Options{Scheme: scheme, Nodes: 4})
 			if err != nil {
-				t.Fatalf("%v d=%d framed: %v", scheme, d, err)
+				t.Fatalf("%v d=%d: %v", scheme, d, err)
 			}
-			classic, cstats, err := Compute(context.Background(), data,
-				Options{Scheme: scheme, Nodes: 4, ClassicShuffle: true})
+			if !sameMultiset(got, want) {
+				t.Errorf("%v d=%d: framed skyline (%d pts) != BNL oracle (%d pts)",
+					scheme, d, len(got), len(want))
+			}
+			part, err := partition.New(scheme, data, 8)
 			if err != nil {
-				t.Fatalf("%v d=%d classic shuffle: %v", scheme, d, err)
+				t.Fatal(err)
 			}
-			if !sameMultiset(framed, classic) {
-				t.Errorf("%v d=%d: framed skyline (%d pts) != classic shuffle (%d pts)",
-					scheme, d, len(framed), len(classic))
+			members := make(map[int]points.Set)
+			for _, p := range data {
+				id, err := part.Assign(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				members[id] = append(members[id], p)
 			}
-			if !sameMultiset(framed, want) {
-				t.Errorf("%v d=%d: framed skyline (%d pts) != oracle (%d pts)",
-					scheme, d, len(framed), len(want))
-			}
-			// Local skylines must agree partition by partition.
-			if len(fstats.LocalSkylines) != len(cstats.LocalSkylines) {
-				t.Fatalf("%v d=%d: local skyline partitions %d vs %d",
-					scheme, d, len(fstats.LocalSkylines), len(cstats.LocalSkylines))
-			}
-			for id, fls := range fstats.LocalSkylines {
-				if !sameMultiset(fls, cstats.LocalSkylines[id]) {
-					t.Errorf("%v d=%d: partition %d local skylines differ", scheme, d, id)
+			for id, ls := range stats.LocalSkylines {
+				if !sameMultiset(ls, skyline.BNL(members[id])) {
+					t.Errorf("%v d=%d: partition %d local skyline differs from BNL", scheme, d, id)
 				}
 			}
 		}
 	}
 }
 
-// TestFrameShuffleSpillMatches runs both shuffle paths in spill mode:
-// frames must survive the disk round trip with results identical to the
+// TestFrameShuffleSpillMatches runs the pipeline in spill mode: frames
+// must survive the disk round trip with results identical to the
 // in-memory run.
 func TestFrameShuffleSpillMatches(t *testing.T) {
 	data := dupSet(7, 900, 4)
 	want := skyline.Naive(data)
-	for _, compress := range []bool{false} {
-		_ = compress
+	{
 		framedSpill, _, err := Compute(context.Background(), data,
 			Options{Scheme: partition.Angular, Nodes: 4, SpillDir: t.TempDir()})
 		if err != nil {
@@ -88,7 +85,7 @@ func TestFrameShuffleSpillMatches(t *testing.T) {
 }
 
 // TestFrameShuffleHierarchicalMerge checks the framed partitioning job
-// feeds the iterative merge rounds correctly.
+// feeds the merge schedule's rounds correctly.
 func TestFrameShuffleHierarchicalMerge(t *testing.T) {
 	data := dupSet(9, 800, 3)
 	want := skyline.Naive(data)
@@ -105,26 +102,21 @@ func TestFrameShuffleHierarchicalMerge(t *testing.T) {
 	}
 }
 
-// TestFrameShuffleAblations: combiner off and pruning off still agree
-// with the classic path under the same ablation.
+// TestFrameShuffleAblations: combiner off and pruning off still produce
+// the BNL skyline.
 func TestFrameShuffleAblations(t *testing.T) {
 	data := dupSet(13, 600, 3)
+	want := skyline.BNL(data)
 	for _, opt := range []Options{
 		{Scheme: partition.Grid, Nodes: 4, DisableCombiner: true},
 		{Scheme: partition.Grid, Nodes: 4, DisableGridPruning: true},
 	} {
-		framed, _, err := Compute(context.Background(), data, opt)
+		got, _, err := Compute(context.Background(), data, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copt := opt
-		copt.ClassicShuffle = true
-		classic, _, err := Compute(context.Background(), data, copt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameMultiset(framed, classic) {
-			t.Errorf("ablation %+v: framed and classic shuffles disagree", opt)
+		if !sameMultiset(got, want) {
+			t.Errorf("ablation %+v: framed skyline differs from BNL", opt)
 		}
 	}
 }

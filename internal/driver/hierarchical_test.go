@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/partition"
 	"repro/internal/skyline"
 )
@@ -80,21 +81,35 @@ func TestHierarchicalMergeSinglePartition(t *testing.T) {
 	}
 }
 
-func TestSplitGroupRecord(t *testing.T) {
-	gid, body, err := splitGroupRecord(joinGroupRecord(42, []byte{0x01, 0x02}))
-	if err != nil || gid != 42 || len(body) != 2 || body[0] != 0x01 {
-		t.Errorf("round trip: gid=%d body=%v err=%v", gid, body, err)
+// TestMergeScheduleTimingSums: both entry points that merge through the
+// schedule — ComputeStream and Compute with HierarchicalMerge — report
+// the schedule's wall time as a nonzero MergeJob, and the phase times sum
+// to Timing.Total.
+func TestMergeScheduleTimingSums(t *testing.T) {
+	data := uniformSet(25, 2000, 4)
+	_, hier, err := Compute(context.Background(), data, Options{
+		Scheme: partition.Angular, Nodes: 4, HierarchicalMerge: true, MergeFanIn: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := splitGroupRecord([]byte("nonsense")); err == nil {
-		t.Error("malformed record accepted")
+	src, err := dataset.NewSource(dataset.KindAnticorrelated, 25, 20000, 4, 2000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := splitGroupRecord([]byte{}); err == nil {
-		t.Error("empty record accepted")
+	_, stream, err := ComputeStream(context.Background(), src, Options{
+		Scheme: partition.Angular, Nodes: 4, ReducerBudgetBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A body containing ':' must survive (only the first prefix colon
-	// separates).
-	gid, body, err = splitGroupRecord(joinGroupRecord(7, []byte("a:b")))
-	if err != nil || gid != 7 || string(body) != "a:b" {
-		t.Errorf("colon body: gid=%d body=%q err=%v", gid, body, err)
+	for name, st := range map[string]*Stats{"hierarchical": hier, "stream": stream} {
+		if st.MergeJob.Total <= 0 || st.MergeJob.Reduce != st.MergeJob.Total {
+			t.Errorf("%s: MergeJob = %+v, want a nonzero reduce-only schedule time", name, st.MergeJob)
+		}
+		if st.MergeRounds < 1 {
+			t.Errorf("%s: MergeRounds = %d", name, st.MergeRounds)
+		}
+		if sum := st.PartitionJob.Total + st.MergeJob.Total; st.Timing.Total != sum {
+			t.Errorf("%s: Timing.Total = %v, phases sum to %v", name, st.Timing.Total, sum)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
@@ -21,40 +22,6 @@ import (
 // most the memory budget, and rounds repeat until one group holds the
 // global skyline. Round count and per-round candidate bytes land in the
 // flight recorder, matching the model's round-complexity accounting.
-
-// budgetedFrameFold adapts skyline.BudgetedFold to the engine's FrameFold
-// interface, surfacing its peak/pass stats through FoldPeaker.
-type budgetedFrameFold struct {
-	partition int
-	fold      *skyline.BudgetedFold
-}
-
-func (b *budgetedFrameFold) Absorb(blk *points.Block) error { return b.fold.Absorb(blk) }
-
-func (b *budgetedFrameFold) Finish(emit mapreduce.EmitPoint) error {
-	out, err := b.fold.Finish()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < out.Len(); i++ {
-		emit(b.partition, out.Row(i))
-	}
-	return nil
-}
-
-func (b *budgetedFrameFold) PeakBytes() int64 { return b.fold.Stats().PeakBytes }
-func (b *budgetedFrameFold) Passes() int      { return b.fold.Stats().Passes }
-
-// BudgetedFolder returns a FrameFolder whose folds compute each
-// partition's skyline in roughly budgetBytes of window memory, spilling
-// overflow frames to spillDir (the process temp dir when empty) and
-// multi-passing when a local skyline outgrows the window.
-func BudgetedFolder(dim int, budgetBytes int64, spillDir string, codec points.FrameCodec) mapreduce.FrameFolder {
-	return func(partition int) mapreduce.FrameFold {
-		return &budgetedFrameFold{partition: partition,
-			fold: skyline.NewBudgetedFold(dim, budgetBytes, spillDir, codec)}
-	}
-}
 
 // defaultReducerBudget caps reducer memory at 1 GiB when the caller gave
 // no budget — the paper-scale "commodity reducer" setting.
@@ -132,12 +99,6 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		}
 		return nil
 	})
-	var combiner mapreduce.FrameCombiner
-	if !opts.DisableCombiner {
-		combiner = func(partition int, blk *points.Block) (*points.Block, error) {
-			return blockKernel(blk), nil
-		}
-	}
 	cfg := mapreduce.Config{
 		Name:               fmt.Sprintf("%s-partitioning-stream", opts.Scheme),
 		Workers:            opts.Workers,
@@ -148,8 +109,8 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		Codec:              opts.Codec,
 		ReducerBudgetBytes: budget,
 	}
-	res, err := mapreduce.RunFramesChunked(ctx, cfg, src, mapper, combiner,
-		BudgetedFolder(dim, budget, opts.SpillDir, opts.Codec))
+	res, err := mapreduce.RunFramesChunked(ctx, cfg, src, mapper, opts.combiner(blockKernel),
+		mapreduce.BudgetedFolder(dim, budget, opts.SpillDir, opts.Codec))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,25 +129,15 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 	stats.MergePasses = res.MergePasses
 	publishPartitionGauges(opts.Metrics, stats)
 
-	// ---- Job 2: multi-round budgeted merge schedule ------------------
-	candidates := make([]*points.Block, 0, len(res.Blocks))
-	for _, id := range sortedBlockIDs(res.Blocks) {
-		candidates = append(candidates, res.Blocks[id])
-	}
-	mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merge-schedule")
-	globalBlk, err := mergeSchedule(mergeCtx, candidates, dim, budget, opts, stats)
-	mergeSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	var global points.Set
-	if globalBlk != nil {
-		global = globalBlk.ToSet()
-	}
-
 	stats.PartitionJob = res.Timing
 	stats.Timing = res.Timing
 	stats.Counters = res.Counters.Snapshot()
+
+	// ---- Job 2: multi-round budgeted merge schedule ------------------
+	global, err := mergeBlocks(ctx, res.Blocks, dim, budget, 0, opts, stats)
+	if err != nil {
+		return nil, nil, err
+	}
 	if reg := opts.Metrics; reg != nil {
 		reg.Gauge("skyline_global_size").Set(float64(len(global)))
 	}
@@ -194,19 +145,40 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 	return global, stats, nil
 }
 
+// mergeBlocks runs the merge schedule over a partitioning job's local
+// skylines, taken in ascending partition order, under one
+// "merge-schedule" span.
+func mergeBlocks(ctx context.Context, locals map[int]*points.Block, dim int, budget int64, fanIn int, opts Options, stats *Stats) (points.Set, error) {
+	candidates := make([]*points.Block, 0, len(locals))
+	for _, id := range sortedBlockIDs(locals) {
+		candidates = append(candidates, locals[id])
+	}
+	ctx, span := telemetry.StartSpan(ctx, "merge-schedule")
+	global, err := mergeSchedule(ctx, candidates, dim, budget, fanIn, opts, stats)
+	span.End()
+	if err != nil || global == nil {
+		return nil, err
+	}
+	return global.ToSet(), nil
+}
+
 // mergeSchedule folds the local skyline blocks to the global skyline in
 // rounds: each round greedily packs consecutive candidate blocks into
-// groups of at most the byte budget and reduces every group to its
-// skyline through a BudgetedFold, so no round holds more than ~budget
-// bytes resident per group — the MRC memory constraint. Rounds repeat
-// until one group remains. When every candidate alone exceeds the budget
-// the greedy packing makes no progress, so the round falls back to
-// pairwise grouping; the folds then multi-pass internally, and the group
-// count still halves — termination is unconditional.
-func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, budget int64, opts Options, stats *Stats) (*points.Block, error) {
+// groups of at most the byte budget — and, when fanIn > 0, at most fanIn
+// blocks — and reduces every group to its skyline through a
+// BudgetedFold, so no round holds more than ~budget bytes resident per
+// group — the MRC memory constraint. Rounds repeat until one group
+// remains. When every candidate alone exceeds the budget the greedy
+// packing makes no progress, so the round falls back to pairwise
+// grouping; the folds then multi-pass internally, and the group count
+// still halves — termination is unconditional. The schedule's wall time
+// is recorded as stats.MergeJob (Reduce and Total) and added into
+// stats.Timing.
+func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, budget int64, fanIn int, opts Options, stats *Stats) (*points.Block, error) {
 	if len(candidates) == 0 {
 		return nil, nil
 	}
+	start := time.Now()
 	rec := telemetry.RecorderFrom(ctx)
 	for round := 1; len(candidates) > 1 || round == 1; round++ {
 		var groups [][]*points.Block
@@ -214,7 +186,7 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 		var curBytes int64
 		for _, blk := range candidates {
 			b := int64(blk.Len()) * int64(dim) * 8
-			if len(cur) > 0 && curBytes+b > budget {
+			if len(cur) > 0 && (curBytes+b > budget || len(cur) == fanIn) {
 				groups = append(groups, cur)
 				cur, curBytes = nil, 0
 			}
@@ -259,5 +231,8 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 		rec.AddMergeRound(roundBytes)
 		candidates = next
 	}
+	wall := time.Since(start)
+	stats.MergeJob = mapreduce.Timing{Reduce: wall, Total: wall}
+	stats.Timing.Add(stats.MergeJob)
 	return candidates[0], nil
 }

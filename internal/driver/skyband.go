@@ -3,11 +3,11 @@ package driver
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
+	"repro/internal/skyline"
 )
 
 // ComputeSkyband runs the MapReduce k-skyband — the QoS-tolerant
@@ -51,7 +51,7 @@ func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (
 	for i, p := range data {
 		input[i] = points.Encode(p)
 	}
-	mapper := mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
+	mapper := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
 		p, err := points.Decode(rec)
 		if err != nil {
 			return err
@@ -60,27 +60,13 @@ func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (
 		if err != nil {
 			return err
 		}
-		emit(strconv.Itoa(id), rec)
+		emit(id, p)
 		return nil
 	})
-	localBand := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		set := make(points.Set, 0, len(values))
-		for _, v := range values {
-			p, err := points.Decode(v)
-			if err != nil {
-				return err
-			}
-			set = append(set, p)
-		}
-		band, err := kSkyband(set, k)
-		if err != nil {
-			return err
-		}
-		for _, p := range band {
-			emit(key, points.Encode(p))
-		}
-		return nil
-	})
+	band := mapreduce.KernelReducer(skyline.BlockFuncOf(func(s points.Set) points.Set {
+		out, _ := skyline.Skyband(s, k) // k >= 1 was checked above
+		return out
+	}))
 	cfg1 := mapreduce.Config{
 		Name:     fmt.Sprintf("%s-skyband%d-partitioning", opts.Scheme, k),
 		Workers:  opts.Workers,
@@ -92,51 +78,33 @@ func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (
 	// at once (a per-map-task band could keep too few dominator
 	// witnesses, which is still sound, but running the band twice at
 	// different granularities buys little; keep the reducer-only shape).
-	res1, err := mapreduce.Run(ctx, cfg1, input, mapper, localBand)
+	res1, err := mapreduce.RunFrames(ctx, cfg1, input, mapper, nil, band)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, pair := range res1.Pairs {
-		id, err := strconv.Atoi(pair.Key)
-		if err != nil || id < 0 || id >= part.Partitions() {
-			return nil, nil, fmt.Errorf("driver: bad partition key %q", pair.Key)
+	var mergeInput [][]byte
+	for _, id := range sortedBlockIDs(res1.Blocks) {
+		if id < 0 || id >= part.Partitions() {
+			return nil, nil, fmt.Errorf("driver: bad partition id %d in frame output", id)
 		}
-		p, err := points.Decode(pair.Value)
-		if err != nil {
-			return nil, nil, err
+		blk := res1.Blocks[id]
+		stats.LocalSkylines[id] = blk.ToSet()
+		for i := 0; i < blk.Len(); i++ {
+			mergeInput = append(mergeInput, points.Encode(points.Point(blk.Row(i))))
 		}
-		stats.LocalSkylines[id] = append(stats.LocalSkylines[id], p)
 	}
 
 	// ---- Job 2: global dominator counting ------------------------------
 	// Candidates are few (local bands); broadcast-join them: every map
-	// task emits each candidate under one key, the reducer counts
+	// task emits each candidate to one partition, the reducer counts
 	// dominators within the union. For simplicity and determinism the
 	// counting happens in one reducer over the full candidate set.
-	mergeInput := make([][]byte, len(res1.Pairs))
-	for i, pair := range res1.Pairs {
-		mergeInput[i] = pair.Value
-	}
-	identity := mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-		emit("band", rec)
-		return nil
-	})
-	countReducer := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		set := make(points.Set, 0, len(values))
-		for _, v := range values {
-			p, err := points.Decode(v)
-			if err != nil {
-				return err
-			}
-			set = append(set, p)
-		}
-		band, err := kSkyband(set, k)
+	identity := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+		p, err := points.Decode(rec)
 		if err != nil {
 			return err
 		}
-		for _, p := range band {
-			emit(key, points.Encode(p))
-		}
+		emit(0, p)
 		return nil
 	})
 	cfg2 := mapreduce.Config{
@@ -146,17 +114,13 @@ func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (
 		SpillDir: opts.SpillDir,
 		Trace:    traceSink(ctx),
 	}
-	res2, err := mapreduce.Run(ctx, cfg2, mergeInput, identity, countReducer)
+	res2, err := mapreduce.RunFrames(ctx, cfg2, mergeInput, identity, nil, band)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make(points.Set, 0, len(res2.Pairs))
-	for _, pair := range res2.Pairs {
-		p, err := points.Decode(pair.Value)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, p)
+	var out points.Set
+	if blk := res2.Blocks[0]; blk != nil {
+		out = blk.ToSet()
 	}
 	stats.PartitionJob = res1.Timing
 	stats.MergeJob = res2.Timing
@@ -167,27 +131,4 @@ func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (
 		stats.Counters[k2] += v
 	}
 	return out, stats, nil
-}
-
-// kSkyband keeps points with fewer than k dominators within set.
-func kSkyband(set points.Set, k int) (points.Set, error) {
-	out := make(points.Set, 0, len(set))
-	for i, p := range set {
-		dominators := 0
-		for j, q := range set {
-			if i == j {
-				continue
-			}
-			if points.DominatesOrEqual(q, p) && !q.Equal(p) {
-				dominators++
-				if dominators >= k {
-					break
-				}
-			}
-		}
-		if dominators < k {
-			out = append(out, p)
-		}
-	}
-	return out, nil
 }

@@ -12,15 +12,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Block-framed shuffle: an alternative engine path that moves packed
-// point frames (points.AppendFrame's partition + count + contiguous
-// coordinates) between phases instead of per-point Pairs. Mappers emit
-// (integer partition, coords) into pooled per-reducer frame builders —
-// no string keys, no per-point Pair or value allocation — combiners run
-// directly on the assembled blocks before a frame is sealed, and
-// reducers ingest whole frames into contiguous blocks with zero
-// per-point allocation. The classic Pair path in mapreduce.go stays as
-// the reference implementation and escape hatch.
+// Block-framed shuffle: the engine moves packed point frames
+// (points.AppendFrame's partition + count + contiguous coordinates)
+// between phases. Mappers emit (integer partition, coords) into pooled
+// per-reducer frame builders — no string keys, no per-point allocation —
+// combiners run directly on the assembled blocks before a frame is
+// sealed, and reducers ingest whole frames into contiguous blocks with
+// zero per-point allocation.
 
 // EmitPoint is the frame-path emit callback: it appends one point to the
 // partition's building block, copying coords immediately, so callers may
@@ -226,25 +224,32 @@ func (fb *frameBuilder) seal(reducers int, parts map[int]PartStat, codec points.
 // by the in-process engine and the rpcmr workers so both move identical
 // bytes. codec picks the sealed frames' wire codec.
 func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
-	if reducers < 1 {
-		reducers = 1
-	}
 	fb := frameBuilderPool.Get().(*frameBuilder)
 	defer func() {
 		fb.reset()
 		frameBuilderPool.Put(fb)
 	}()
-	var st FrameStats
 	// Hoist the method value: evaluating fb.add in the loop would allocate
 	// one funcval per record.
 	add := fb.add
 	for _, rec := range records {
 		if err := mapper.MapFrame(rec, add); err != nil {
-			return nil, st, err
+			return nil, FrameStats{}, err
 		}
 	}
+	return fb.combineAndSeal(reducers, combiner, codec)
+}
+
+// combineAndSeal finishes one map task's builder: it tallies the
+// per-partition map output, runs the combiner over every touched block
+// and seals the blocks into one frame stream per reducer.
+func (fb *frameBuilder) combineAndSeal(reducers int, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+	var st FrameStats
 	if fb.err != nil {
 		return nil, st, fb.err
+	}
+	if reducers < 1 {
+		reducers = 1
 	}
 	st.Partitions = make(map[int]PartStat, len(fb.touched))
 	for _, p := range fb.touched {
@@ -303,16 +308,6 @@ func AssembleFrames(streams [][]byte) (map[int]*points.Block, error) {
 	return parts, nil
 }
 
-// sortedPartitions returns the map's keys ascending.
-func sortedPartitions(parts map[int]*points.Block) []int {
-	ids := make([]int, 0, len(parts))
-	for id := range parts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // ReduceFrames assembles per-partition blocks from the given frame
 // streams, runs the reducer on each partition in ascending id order, and
 // seals the emitted points back into one output frame stream. Shared by
@@ -329,7 +324,7 @@ func ReduceFrames(streams [][]byte, reducer FrameReducer, codec points.FrameCode
 		fb.reset()
 		frameBuilderPool.Put(fb)
 	}()
-	for _, p := range sortedPartitions(parts) {
+	for _, p := range sortedInts(parts) {
 		blk := parts[p]
 		st.Groups++
 		st.ReduceIn += int64(blk.Len())
@@ -362,18 +357,17 @@ type frameTaskOutput struct {
 	combineNanos int64
 }
 
-// RunFrames executes a frame-shuffle MapReduce job: the same
-// split → map → (combine) → shuffle → reduce pipeline as Run, with the
-// intermediate data moving as packed frames instead of Pairs. Phase
-// timing, counters, events and metrics bridging match Run's semantics;
-// the shuffle-byte counter reports frame payload bytes (header +
-// coordinates). Config.Combiner is ignored on this path — pass the
-// frame combiner explicitly.
+// RunFrames executes a MapReduce job over the input records: split → map
+// → (combine) → shuffle → reduce, with the intermediate data moving as
+// packed frames and each reduce partition assembled into one block for
+// the reducer. It blocks until the job completes, fails, or ctx is
+// cancelled. The shuffle-byte counter reports frame payload bytes
+// (header + coordinates); combiner may be nil.
 func RunFrames(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, reducer FrameReducer) (*FrameResult, error) {
-	if reducer == nil {
-		return nil, fmt.Errorf("mapreduce: %s: reducer must be non-nil", cfg.Name)
+	if mapper == nil || reducer == nil {
+		return nil, fmt.Errorf("mapreduce: %s: mapper and reducer must be non-nil", cfg.Name)
 	}
-	return runFramesEngine(ctx, cfg, input, mapper, combiner, reducer, nil)
+	return runRecordJob(ctx, cfg, input, mapper, combiner, reducer, nil)
 }
 
 // RunFramesFold executes a frame-shuffle job whose reduce side streams:
@@ -384,24 +378,46 @@ func RunFrames(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapp
 // budgets plus one frame of decode scratch, never by partition size;
 // FrameResult.ReducerPeakBytes reports the observed peak.
 func RunFramesFold(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, folder FrameFolder) (*FrameResult, error) {
-	if folder == nil {
-		return nil, fmt.Errorf("mapreduce: %s: folder must be non-nil", cfg.Name)
+	if mapper == nil || folder == nil {
+		return nil, fmt.Errorf("mapreduce: %s: mapper and folder must be non-nil", cfg.Name)
 	}
-	return runFramesEngine(ctx, cfg, input, mapper, combiner, nil, folder)
+	return runRecordJob(ctx, cfg, input, mapper, combiner, nil, folder)
 }
 
-func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, reducer FrameReducer, folder FrameFolder) (*FrameResult, error) {
-	if mapper == nil {
-		return nil, fmt.Errorf("mapreduce: %s: mapper must be non-nil", cfg.Name)
-	}
+// runRecordJob splits record input into map tasks of cfg.SplitSize
+// records and runs the job shell over them.
+func runRecordJob(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, reducer FrameReducer, folder FrameFolder) (*FrameResult, error) {
 	cfg = cfg.withDefaults(len(input))
+	var splits [][][]byte
+	for off := 0; off < len(input); off += cfg.SplitSize {
+		splits = append(splits, input[off:min(off+cfg.SplitSize, len(input))])
+	}
+	mapTask := func(task int, counters *Counters) (frameTaskOutput, int, error) {
+		records := splits[task]
+		counters.Add(CounterMapIn, int64(len(records)))
+		streams, st, err := BuildFrames(records, cfg.Reducers, mapper, combiner, cfg.Codec)
+		if err != nil {
+			return frameTaskOutput{}, 0, err
+		}
+		out, err := finishMapTask(cfg, task, streams, st, counters)
+		return out, len(records), err
+	}
+	return runJob(ctx, cfg, len(splits), mapTask, reducer, folder,
+		telemetry.A("records", len(input)), telemetry.A("shuffle", "frames"))
+}
+
+// runJob is the job shell every entry point shares: nTasks map tasks
+// (each run by mapTask, which reports how many input records it read),
+// the bookkeeping-only shuffle, then the reduce tasks — assembling
+// blocks for reducer, or streaming frames through folder's folds when
+// folder is non-nil. cfg must already carry its defaults.
+func runJob(ctx context.Context, cfg Config, nTasks int, mapTask func(task int, counters *Counters) (frameTaskOutput, int, error), reducer FrameReducer, folder FrameFolder, attrs ...telemetry.Attr) (*FrameResult, error) {
 	counters := NewCounters()
 	start := time.Now()
 	cfg.emit("job-start", "", -1, "")
 	ctx, jobSpan := telemetry.StartSpan(ctx, "mr-job:"+cfg.Name,
-		telemetry.A("job", cfg.Name), telemetry.A("workers", cfg.Workers),
-		telemetry.A("reducers", cfg.Reducers), telemetry.A("records", len(input)),
-		telemetry.A("shuffle", "frames"))
+		append([]telemetry.Attr{telemetry.A("job", cfg.Name), telemetry.A("workers", cfg.Workers),
+			telemetry.A("reducers", cfg.Reducers)}, attrs...)...)
 	fail := func(err error) (*FrameResult, error) {
 		cfg.emit("job-end", "", -1, err.Error())
 		jobSpan.SetAttr("error", err.Error())
@@ -409,27 +425,21 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 		return nil, err
 	}
 
-	// --- Split ---------------------------------------------------------
-	var splits [][][]byte
-	for off := 0; off < len(input); off += cfg.SplitSize {
-		end := off + cfg.SplitSize
-		if end > len(input) {
-			end = len(input)
-		}
-		splits = append(splits, input[off:end])
-	}
-
 	// --- Map (+ combine) -----------------------------------------------
 	cfg.emit("phase-start", "map", -1, "")
-	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", len(splits)))
+	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", nTasks))
 	mapStart := time.Now()
-	outputs, combineDur, err := runFrameMapPhase(mapCtx, cfg, splits, mapper, combiner, counters)
+	outputs, err := runFrameMapPhase(mapCtx, cfg, nTasks, mapTask, counters)
 	mapSpan.End()
 	// Spill files must not outlive the job, whatever happens after this
 	// point.
 	defer removeFrameSpills(outputs)
 	if err != nil {
 		return fail(err)
+	}
+	var combineNanos int64
+	for _, out := range outputs {
+		combineNanos += out.combineNanos
 	}
 	mapDur := time.Since(mapStart)
 	cfg.emitEvent(Event{Kind: "phase-end", Phase: "map", Task: -1,
@@ -439,7 +449,8 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 	// Frames are already partitioned per reducer when map tasks seal them,
 	// so the in-memory shuffle is zero-copy: this phase only books the
 	// counters. (Spilled frames are read back inside the reduce tasks,
-	// landing in Reduce time like the classic external shuffle.)
+	// landing in Reduce time, as on a cluster where reducers pull map
+	// outputs.)
 	cfg.emit("phase-start", "shuffle", -1, "")
 	_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
 	shuffleStart := time.Now()
@@ -485,7 +496,7 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 		MergePasses:      redStats.Passes,
 		Timing: Timing{
 			Map:     mapDur,
-			Combine: combineDur,
+			Combine: time.Duration(combineNanos),
 			Shuffle: shuffleDur,
 			Reduce:  reduceDur,
 			Total:   time.Since(start),
@@ -495,16 +506,12 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 	return res, nil
 }
 
-func runFrameMapPhase(ctx context.Context, cfg Config, splits [][][]byte, mapper FrameMapper, combiner FrameCombiner, counters *Counters) ([]frameTaskOutput, time.Duration, error) {
-	outputs := make([]frameTaskOutput, len(splits))
-	var combineNanos int64
-	var combineMu sync.Mutex
-
-	err := runTasks(ctx, cfg.Workers, len(splits), func(worker, task int) error {
+func runFrameMapPhase(ctx context.Context, cfg Config, nTasks int, mapTask func(task int, counters *Counters) (frameTaskOutput, int, error), counters *Counters) ([]frameTaskOutput, error) {
+	outputs := make([]frameTaskOutput, nTasks)
+	err := runTasks(ctx, cfg.Workers, nTasks, func(worker, task int) error {
 		var lastErr error
 		cfg.emit("task-start", "map", task, "")
-		_, span := telemetry.StartSpan(ctx, "map-task", telemetry.A("task", task),
-			telemetry.A("records", len(splits[task])))
+		_, span := telemetry.StartSpan(ctx, "map-task", telemetry.A("task", task))
 		span.SetTrack(worker + 1)
 		taskStart := time.Now()
 		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
@@ -512,16 +519,13 @@ func runFrameMapPhase(ctx context.Context, cfg Config, splits [][][]byte, mapper
 				counters.Add(CounterMapRetries, 1)
 				cfg.emit("task-retry", "map", task, lastErr.Error())
 			}
-			out, err := runFrameMapTask(cfg, task, splits[task], mapper, combiner, counters)
+			out, n, err := mapTask(task, counters)
 			if err == nil {
 				outputs[task] = out
-				combineMu.Lock()
-				combineNanos += out.combineNanos
-				combineMu.Unlock()
+				span.SetAttr("records", n)
 				span.End()
 				cfg.emitEvent(Event{Kind: "task-end", Phase: "map", Task: task,
-					Worker: worker + 1, Duration: time.Since(taskStart),
-					Records: int64(len(splits[task]))})
+					Worker: worker + 1, Duration: time.Since(taskStart), Records: int64(n)})
 				return nil
 			}
 			lastErr = err
@@ -533,18 +537,12 @@ func runFrameMapPhase(ctx context.Context, cfg Config, splits [][][]byte, mapper
 		return fmt.Errorf("mapreduce: %s: map task %d failed after %d attempt(s): %w",
 			cfg.Name, task, cfg.MaxAttempts, lastErr)
 	})
-	if err != nil {
-		return outputs, 0, err
-	}
-	return outputs, time.Duration(combineNanos), nil
+	return outputs, err
 }
 
-func runFrameMapTask(cfg Config, task int, records [][]byte, mapper FrameMapper, combiner FrameCombiner, counters *Counters) (frameTaskOutput, error) {
-	counters.Add(CounterMapIn, int64(len(records)))
-	streams, st, err := BuildFrames(records, cfg.Reducers, mapper, combiner, cfg.Codec)
-	if err != nil {
-		return frameTaskOutput{}, err
-	}
+// finishMapTask books one map task's tallies and keeps its sealed
+// streams in memory, or spills them when cfg.SpillDir is set.
+func finishMapTask(cfg Config, task int, streams [][]byte, st FrameStats, counters *Counters) (frameTaskOutput, error) {
 	counters.Add(CounterMapOut, st.MapOut)
 	if st.CombineIn > 0 {
 		counters.Add(CounterCombineIn, st.CombineIn)

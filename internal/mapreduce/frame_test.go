@@ -6,10 +6,10 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
-	"strconv"
 	"testing"
 
 	"repro/internal/points"
+	"repro/internal/skyline"
 )
 
 // frameTestData builds a deterministic point set with duplicates.
@@ -52,44 +52,46 @@ func identityFrameJob(parts int) (FrameMapper, FrameReducer) {
 	return mapper, reducer
 }
 
-// classicEquivalent runs the same routing through the Pair path.
-func classicEquivalent(t *testing.T, data points.Set, parts, reducers int, spill string) map[int]points.Set {
-	t.Helper()
+// routeOracle routes data exactly as identityFrameJob does, without the
+// engine: partition coords[0] mod parts.
+func routeOracle(data points.Set, parts int) map[int]points.Set {
+	out := make(map[int]points.Set)
+	for _, p := range data {
+		id := int(p[0]) % parts
+		out[id] = append(out[id], p)
+	}
+	return out
+}
+
+func encodeAll(data points.Set) [][]byte {
 	input := make([][]byte, len(data))
 	for i, p := range data {
 		input[i] = points.Encode(p)
 	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
-		}
-		emit(strconv.Itoa(int(p[0])%parts), rec)
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		for _, v := range values {
-			emit(key, v)
-		}
-		return nil
-	})
-	res, err := Run(context.Background(), Config{Name: "classic", Workers: 4, Reducers: reducers, SpillDir: spill}, input, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
+	return input
+}
+
+// requireSameBlocks requires identical partitions with identical rows in
+// identical order.
+func requireSameBlocks(t *testing.T, want, got map[int]*points.Block) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("partition count: want %d, got %d", len(want), len(got))
 	}
-	out := make(map[int]points.Set)
-	for _, pair := range res.Pairs {
-		id, err := strconv.Atoi(pair.Key)
-		if err != nil {
-			t.Fatal(err)
+	for id, w := range want {
+		g, ok := got[id]
+		if !ok {
+			t.Fatalf("partition %d missing", id)
 		}
-		p, err := points.Decode(pair.Value)
-		if err != nil {
-			t.Fatal(err)
+		if w.Len() != g.Len() {
+			t.Fatalf("partition %d: want %d rows, got %d", id, w.Len(), g.Len())
 		}
-		out[id] = append(out[id], p)
+		for i := 0; i < w.Len(); i++ {
+			if !points.Point(w.Row(i)).Equal(g.Row(i)) {
+				t.Fatalf("partition %d row %d: want %v, got %v", id, i, w.Row(i), g.Row(i))
+			}
+		}
 	}
-	return out
 }
 
 func sortSet(s points.Set) {
@@ -129,17 +131,20 @@ func requireSameSets(t *testing.T, want, got map[int]points.Set) {
 	}
 }
 
-// TestRunFramesMatchesClassic shuffles the same dataset (duplicates
-// included) through both paths and requires identical per-partition
-// multisets, in memory and in spill mode.
+// TestRunFramesMatchesClassic shuffles a duplicate-heavy dataset through
+// the engine and requires, per partition, exactly the multiset a direct
+// routing produces — and, through a flat skyline reducer, exactly the
+// classic skyline.BNL of that multiset — in memory and in spill mode.
 func TestRunFramesMatchesClassic(t *testing.T) {
 	data := frameTestData(2000, 4, 1)
 	const parts, reducers = 7, 3
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
+	input := encodeAll(data)
+	mapper, identity := identityFrameJob(parts)
+	routed := routeOracle(data, parts)
+	skylines := make(map[int]points.Set, len(routed))
+	for id, set := range routed {
+		skylines[id] = skyline.BNL(set)
 	}
-	mapper, reducer := identityFrameJob(parts)
 
 	for _, spill := range []bool{false, true} {
 		name := map[bool]string{false: "memory", true: "spill"}[spill]
@@ -148,22 +153,12 @@ func TestRunFramesMatchesClassic(t *testing.T) {
 			if spill {
 				dir = t.TempDir()
 			}
-			res, err := RunFrames(context.Background(),
-				Config{Name: "frames", Workers: 4, Reducers: reducers, SpillDir: dir},
-				input, mapper, nil, reducer)
+			cfg := Config{Name: "frames", Workers: 4, Reducers: reducers, SpillDir: dir}
+			res, err := RunFrames(context.Background(), cfg, input, mapper, nil, identity)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make(map[int]points.Set)
-			for id, blk := range res.Blocks {
-				got[id] = blk.ToSet()
-			}
-			classicDir := ""
-			if spill {
-				classicDir = t.TempDir()
-			}
-			want := classicEquivalent(t, data, parts, reducers, classicDir)
-			requireSameSets(t, want, got)
+			requireSameSets(t, routed, blockSets(res.Blocks))
 
 			if res.Counters.Get(CounterShuffle) != int64(len(data)) {
 				t.Errorf("shuffle records = %d, want %d", res.Counters.Get(CounterShuffle), len(data))
@@ -174,8 +169,22 @@ func TestRunFramesMatchesClassic(t *testing.T) {
 			if b := res.Counters.Get(CounterShuffleBytes); b <= coords || b > coords*2 {
 				t.Errorf("shuffle bytes = %d, want in (%d, %d]", b, coords, coords*2)
 			}
+
+			sky, err := RunFrames(context.Background(), cfg, input, mapper, nil, skylineReducer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameSets(t, skylines, blockSets(sky.Blocks))
 		})
 	}
+}
+
+func blockSets(blocks map[int]*points.Block) map[int]points.Set {
+	out := make(map[int]points.Set, len(blocks))
+	for id, blk := range blocks {
+		out[id] = blk.ToSet()
+	}
+	return out
 }
 
 // TestRunFramesCombiner checks the combiner runs on assembled blocks

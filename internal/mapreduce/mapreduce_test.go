@@ -1,58 +1,24 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/points"
 )
 
-// wordCount splits records into words and counts them — the canonical
-// smoke test for any MapReduce engine.
-func wordCountJob(t *testing.T, cfg Config, docs []string) map[string]int {
-	t.Helper()
-	input := make([][]byte, len(docs))
-	for i, d := range docs {
-		input[i] = []byte(d)
-	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, []byte("1"))
-		}
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		total := 0
-		for _, v := range values {
-			n, err := strconv.Atoi(string(v))
-			if err != nil {
-				return err
-			}
-			total += n
-		}
-		emit(key, []byte(strconv.Itoa(total)))
-		return nil
-	})
-	res, err := Run(context.Background(), cfg, input, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]int{}
-	for _, p := range res.Pairs {
-		n, err := strconv.Atoi(string(p.Value))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[p.Key] = n
-	}
-	return out
-}
+// Word count over frames — the canonical smoke test for any MapReduce
+// engine. Every word of a fixed vocabulary owns one partition; mappers
+// emit a one-dimensional [1] point per word and reducers sum them.
 
 var wcDocs = []string{
 	"the quick brown fox",
@@ -66,8 +32,89 @@ var wcWant = map[string]int{
 	"dog": 3, "jumps": 1, "and": 2,
 }
 
-func TestWordCount(t *testing.T) {
-	got := wordCountJob(t, Config{Name: "wc", Workers: 4, Reducers: 3, SplitSize: 1}, wcDocs)
+// vocabulary numbers the distinct words of docs in sorted order.
+func vocabulary(docs []string) (ids map[string]int, words []string) {
+	ids = map[string]int{}
+	for _, d := range docs {
+		for _, w := range strings.Fields(d) {
+			ids[w] = 0
+		}
+	}
+	for w := range ids {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	for i, w := range words {
+		ids[w] = i
+	}
+	return ids, words
+}
+
+// wordMapper emits one [1] point per word, routed to the word's partition.
+func wordMapper(ids map[string]int) FrameMapper {
+	one := []float64{1}
+	return FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
+		for _, w := range strings.Fields(string(rec)) {
+			id, ok := ids[w]
+			if !ok {
+				return fmt.Errorf("word %q not in vocabulary", w)
+			}
+			emit(id, one)
+		}
+		return nil
+	})
+}
+
+// columnSum sums a block's first column.
+func columnSum(blk *points.Block) float64 {
+	total := 0.0
+	for i := 0; i < blk.Len(); i++ {
+		total += blk.Row(i)[0]
+	}
+	return total
+}
+
+// sumReducer emits one point per partition holding its rows' sum.
+var sumReducer = FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
+	emit(partition, []float64{columnSum(blk)})
+	return nil
+})
+
+// sumCombiner folds a map-side block to its one-row sum.
+func sumCombiner(partition int, blk *points.Block) (*points.Block, error) {
+	out := points.NewBlock(1, 1)
+	out.AppendRow([]float64{columnSum(blk)})
+	return out, nil
+}
+
+func docsInput(docs []string) [][]byte {
+	input := make([][]byte, len(docs))
+	for i, d := range docs {
+		input[i] = []byte(d)
+	}
+	return input
+}
+
+// wordCountJob runs word count over docs and returns word → count.
+func wordCountJob(t *testing.T, cfg Config, docs []string, combiner FrameCombiner) map[string]int {
+	t.Helper()
+	ids, words := vocabulary(docs)
+	res, err := RunFrames(context.Background(), cfg, docsInput(docs), wordMapper(ids), combiner, sumReducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int{}
+	for id, blk := range res.Blocks {
+		if blk.Len() != 1 {
+			t.Fatalf("partition %d: %d output rows, want 1", id, blk.Len())
+		}
+		out[words[id]] = int(blk.Row(0)[0])
+	}
+	return out
+}
+
+func requireWordCounts(t *testing.T, got map[string]int) {
+	t.Helper()
 	if len(got) != len(wcWant) {
 		t.Fatalf("got %v, want %v", got, wcWant)
 	}
@@ -78,53 +125,27 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
+func TestWordCount(t *testing.T) {
+	requireWordCounts(t, wordCountJob(t, Config{Name: "wc", Workers: 4, Reducers: 3, SplitSize: 1}, wcDocs, nil))
+}
+
 func TestWordCountWithCombiner(t *testing.T) {
-	sum := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(string(v))
-			total += n
-		}
-		emit(key, []byte(strconv.Itoa(total)))
-		return nil
-	})
-	cfg := Config{Name: "wc-comb", Workers: 2, Reducers: 2, SplitSize: 2, Combiner: sum}
-	got := wordCountJob(t, cfg, wcDocs)
-	for k, v := range wcWant {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d", k, got[k], v)
-		}
-	}
+	cfg := Config{Name: "wc-comb", Workers: 2, Reducers: 2, SplitSize: 2}
+	requireWordCounts(t, wordCountJob(t, cfg, wcDocs, sumCombiner))
 }
 
 func TestCombinerReducesShuffleVolume(t *testing.T) {
-	input := make([][]byte, 100)
-	for i := range input {
-		input[i] = []byte("same-key")
+	docs := make([]string, 100)
+	for i := range docs {
+		docs[i] = "same-key"
 	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		emit(string(rec), []byte("1"))
-		return nil
-	})
-	count := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, []byte(strconv.Itoa(len(values))))
-		return nil
-	})
-	sum := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(string(v))
-			total += n
-		}
-		emit(key, []byte(strconv.Itoa(total)))
-		return nil
-	})
-
-	noComb, err := Run(context.Background(), Config{Workers: 2, SplitSize: 10}, input, mapper, count)
+	ids, _ := vocabulary(docs)
+	input := docsInput(docs)
+	noComb, err := RunFrames(context.Background(), Config{Workers: 2, SplitSize: 10}, input, wordMapper(ids), nil, sumReducer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withComb, err := Run(context.Background(), Config{Workers: 2, SplitSize: 10, Combiner: sum}, input, mapper, sum)
+	withComb, err := RunFrames(context.Background(), Config{Workers: 2, SplitSize: 10}, input, wordMapper(ids), sumCombiner, sumReducer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,61 +153,39 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 		t.Errorf("combiner did not cut shuffle volume: %d -> %d", n, w)
 	}
 	// Both must still compute the same total.
-	if string(withComb.Pairs[0].Value) != "100" {
-		t.Errorf("combined total = %s, want 100", withComb.Pairs[0].Value)
+	for name, res := range map[string]*FrameResult{"plain": noComb, "combined": withComb} {
+		if got := res.Blocks[0].Row(0)[0]; got != 100 {
+			t.Errorf("%s total = %v, want 100", name, got)
+		}
 	}
 }
 
+// TestDeterministicOutputAcrossRuns: with many small map tasks racing on
+// eight workers, every partition's output rows come back in the same
+// order on every run.
 func TestDeterministicOutputAcrossRuns(t *testing.T) {
-	var ref []Pair
+	data := frameTestData(200, 3, 5)
+	input := encodeAll(data)
+	mapper, reducer := identityFrameJob(7)
+	var ref map[int]*points.Block
 	for trial := 0; trial < 5; trial++ {
-		input := make([][]byte, 200)
-		for i := range input {
-			input[i] = []byte(fmt.Sprintf("doc %d word%d shared", i, i%7))
-		}
-		mapper := MapperFunc(func(rec []byte, emit Emit) error {
-			for _, w := range strings.Fields(string(rec)) {
-				emit(w, []byte(w))
-			}
-			return nil
-		})
-		reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-			emit(key, []byte(strconv.Itoa(len(values))))
-			return nil
-		})
-		res, err := Run(context.Background(), Config{Workers: 8, Reducers: 4, SplitSize: 3}, input, mapper, reducer)
+		res, err := RunFrames(context.Background(), Config{Workers: 8, Reducers: 4, SplitSize: 3}, input, mapper, nil, reducer)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if trial == 0 {
-			ref = res.Pairs
+			ref = res.Blocks
 			continue
 		}
-		if len(res.Pairs) != len(ref) {
-			t.Fatalf("trial %d: %d pairs, want %d", trial, len(res.Pairs), len(ref))
-		}
-		for i := range ref {
-			if res.Pairs[i].Key != ref[i].Key || string(res.Pairs[i].Value) != string(ref[i].Value) {
-				t.Fatalf("trial %d: pair %d = %v, want %v", trial, i, res.Pairs[i], ref[i])
-			}
-		}
+		requireSameBlocks(t, ref, res.Blocks)
 	}
 }
 
 func TestFrameworkCounters(t *testing.T) {
 	cfg := Config{Workers: 2, Reducers: 2, SplitSize: 1}
-	input := [][]byte{[]byte("a b"), []byte("a")}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, nil)
-		}
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, nil)
-		return nil
-	})
-	res, err := Run(context.Background(), cfg, input, mapper, reducer)
+	docs := []string{"a b", "a"}
+	ids, _ := vocabulary(docs)
+	res, err := RunFrames(context.Background(), cfg, docsInput(docs), wordMapper(ids), nil, sumReducer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +202,9 @@ func TestFrameworkCounters(t *testing.T) {
 	if got := c.Get(CounterGroups); got != 2 {
 		t.Errorf("groups = %d, want 2", got)
 	}
+	if got := c.Get(CounterReduceIn); got != 3 {
+		t.Errorf("reduce in = %d, want 3", got)
+	}
 	if got := c.Get(CounterReduceOut); got != 2 {
 		t.Errorf("reduce out = %d, want 2", got)
 	}
@@ -210,9 +212,8 @@ func TestFrameworkCounters(t *testing.T) {
 
 func TestMapErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { return boom })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return nil })
-	_, err := Run(context.Background(), Config{Name: "failing"}, [][]byte{[]byte("x")}, mapper, reducer)
+	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error { return boom })
+	_, err := RunFrames(context.Background(), Config{Name: "failing"}, [][]byte{[]byte("x")}, mapper, nil, sumReducer)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -223,9 +224,9 @@ func TestMapErrorPropagates(t *testing.T) {
 
 func TestReduceErrorPropagates(t *testing.T) {
 	boom := errors.New("reduce-boom")
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return boom })
-	_, err := Run(context.Background(), Config{}, [][]byte{[]byte("x")}, mapper, reducer)
+	reducer := FrameReducerFunc(func(int, *points.Block, EmitPoint) error { return boom })
+	ids, _ := vocabulary([]string{"x"})
+	_, err := RunFrames(context.Background(), Config{}, [][]byte{[]byte("x")}, wordMapper(ids), nil, reducer)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -233,47 +234,42 @@ func TestReduceErrorPropagates(t *testing.T) {
 
 func TestCombinerErrorPropagates(t *testing.T) {
 	boom := errors.New("combine-boom")
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	ok := ReducerFunc(func(key string, values [][]byte, emit Emit) error { emit(key, nil); return nil })
-	bad := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return boom })
-	_, err := Run(context.Background(), Config{Combiner: bad}, [][]byte{[]byte("x")}, mapper, ok)
+	bad := func(int, *points.Block) (*points.Block, error) { return nil, boom }
+	ids, _ := vocabulary([]string{"x"})
+	_, err := RunFrames(context.Background(), Config{}, [][]byte{[]byte("x")}, wordMapper(ids), bad, sumReducer)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
 }
 
 func TestFlakyMapTaskRetried(t *testing.T) {
-	var failures int32
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
+	var calls int32
+	ids, _ := vocabulary([]string{"a"})
+	words := wordMapper(ids)
+	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
 		// First attempt of each record fails; retry succeeds.
-		if atomic.AddInt32(&failures, 1)%2 == 1 {
+		if atomic.AddInt32(&calls, 1)%2 == 1 {
 			return errors.New("transient")
 		}
-		emit("k", rec)
-		return nil
+		return words.MapFrame(rec, emit)
 	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, []byte(strconv.Itoa(len(values))))
-		return nil
-	})
-	res, err := Run(context.Background(),
+	res, err := RunFrames(context.Background(),
 		Config{Workers: 1, SplitSize: 1, MaxAttempts: 3},
-		[][]byte{[]byte("a")}, mapper, reducer)
+		[][]byte{[]byte("a")}, mapper, nil, sumReducer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Counters.Get(CounterMapRetries); got < 1 {
 		t.Errorf("retries = %d, want >= 1", got)
 	}
-	if len(res.Pairs) != 1 || string(res.Pairs[0].Value) != "1" {
-		t.Errorf("pairs = %v", res.Pairs)
+	if len(res.Blocks) != 1 || res.Blocks[0].Row(0)[0] != 1 {
+		t.Errorf("blocks = %v", res.Blocks)
 	}
 }
 
 func TestPersistentFailureExhaustsAttempts(t *testing.T) {
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { return errors.New("always") })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return nil })
-	_, err := Run(context.Background(), Config{MaxAttempts: 3}, [][]byte{[]byte("x")}, mapper, reducer)
+	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error { return errors.New("always") })
+	_, err := RunFrames(context.Background(), Config{MaxAttempts: 3}, [][]byte{[]byte("x")}, mapper, nil, sumReducer)
 	if err == nil || !strings.Contains(err.Error(), "3 attempt(s)") {
 		t.Errorf("err = %v, want exhausted-attempts failure", err)
 	}
@@ -284,19 +280,18 @@ func TestContextCancellation(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	block := make(chan struct{})
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
+	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
 		once.Do(func() { close(started) })
 		<-block
 		return nil
 	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return nil })
 	input := make([][]byte, 100)
 	for i := range input {
 		input[i] = []byte("x")
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, Config{Workers: 1, SplitSize: 1}, input, mapper, reducer)
+		_, err := RunFrames(ctx, Config{Workers: 1, SplitSize: 1}, input, mapper, nil, sumReducer)
 		done <- err
 	}()
 	<-started
@@ -307,38 +302,47 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// TestNilMapperRejected: every entry point refuses missing job code up
+// front instead of panicking inside a task.
 func TestNilMapperRejected(t *testing.T) {
-	if _, err := Run(context.Background(), Config{}, nil, nil, ReducerFunc(func(string, [][]byte, Emit) error { return nil })); err == nil {
+	ids, _ := vocabulary([]string{"x"})
+	ctx := context.Background()
+	if _, err := RunFrames(ctx, Config{}, nil, nil, nil, sumReducer); err == nil {
 		t.Error("nil mapper accepted")
 	}
-	if _, err := Run(context.Background(), Config{}, nil, MapperFunc(func([]byte, Emit) error { return nil }), nil); err == nil {
+	if _, err := RunFrames(ctx, Config{}, nil, wordMapper(ids), nil, nil); err == nil {
 		t.Error("nil reducer accepted")
+	}
+	if _, err := RunFramesFold(ctx, Config{}, nil, wordMapper(ids), nil, nil); err == nil {
+		t.Error("nil folder accepted")
+	}
+	if _, err := RunFramesChunked(ctx, Config{}, chunkSrc{}, nil, nil, BudgetedFolder(1, 1<<20, "", 0)); err == nil {
+		t.Error("nil block mapper accepted")
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { emit(key, nil); return nil })
-	res, err := Run(context.Background(), Config{}, nil, mapper, reducer)
+	ids, _ := vocabulary([]string{"x"})
+	res, err := RunFrames(context.Background(), Config{}, nil, wordMapper(ids), nil, sumReducer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Pairs) != 0 {
-		t.Errorf("pairs = %v, want none", res.Pairs)
+	if len(res.Blocks) != 0 {
+		t.Errorf("blocks = %v, want none", res.Blocks)
 	}
 }
 
 func TestSpillMode(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Name: "spilled", Workers: 3, Reducers: 2, SplitSize: 1, SpillDir: dir}
-	got := wordCountJob(t, cfg, wcDocs)
-	for k, v := range wcWant {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d", k, got[k], v)
-		}
-	}
-	// Spill files must be cleaned up after the shuffle.
-	left, err := filepath.Glob(filepath.Join(dir, "*.seq"))
+	requireWordCounts(t, wordCountJob(t, cfg, wcDocs, nil))
+	requireNoSpillFiles(t, dir)
+}
+
+// requireNoSpillFiles fails when a job left spill runs behind.
+func requireNoSpillFiles(t *testing.T, dir string) {
+	t.Helper()
+	left, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +352,9 @@ func TestSpillMode(t *testing.T) {
 }
 
 func TestSpillBytesCounter(t *testing.T) {
-	dir := t.TempDir()
-	input := [][]byte{[]byte("hello world hello")}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, []byte("1"))
-		}
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { emit(key, nil); return nil })
-	res, err := Run(context.Background(), Config{SpillDir: dir}, input, mapper, reducer)
+	docs := []string{"hello world hello"}
+	ids, _ := vocabulary(docs)
+	res, err := RunFrames(context.Background(), Config{SpillDir: t.TempDir()}, docsInput(docs), wordMapper(ids), nil, sumReducer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,34 +365,24 @@ func TestSpillBytesCounter(t *testing.T) {
 
 func TestSpillDirMissing(t *testing.T) {
 	cfg := Config{SpillDir: filepath.Join(os.TempDir(), "definitely-missing-dir-xyz")}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return nil })
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("x")}, mapper, reducer); err == nil {
+	ids, _ := vocabulary([]string{"x"})
+	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("x")}, wordMapper(ids), nil, sumReducer); err == nil {
 		t.Error("missing spill dir accepted")
 	}
 }
 
 func TestTimingPopulated(t *testing.T) {
-	got := wordCountJob(t, Config{Workers: 2}, wcDocs)
-	if len(got) == 0 {
-		t.Fatal("no output")
-	}
-	input := make([][]byte, len(wcDocs))
-	for i, d := range wcDocs {
-		input[i] = []byte(d)
-	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { emit(key, nil); return nil })
-	res, err := Run(context.Background(), Config{}, input, mapper, reducer)
+	ids, _ := vocabulary(wcDocs)
+	res, err := RunFrames(context.Background(), Config{Workers: 2}, docsInput(wcDocs), wordMapper(ids), sumCombiner, sumReducer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tm := res.Timing
-	if tm.Total <= 0 {
-		t.Error("total timing not recorded")
+	if tm.Total <= 0 || tm.Map <= 0 || tm.Reduce <= 0 {
+		t.Errorf("timing not recorded: %+v", tm)
 	}
-	if tm.Total < tm.Map || tm.Total < tm.Reduce {
-		t.Errorf("phase timings exceed total: %+v", tm)
+	if tm.Total < tm.Map || tm.Total < tm.Reduce || tm.Map < tm.Combine {
+		t.Errorf("phase timings exceed their container: %+v", tm)
 	}
 }
 
@@ -423,49 +410,64 @@ func TestCountersSnapshot(t *testing.T) {
 	}
 }
 
-func TestPartitionOfStableAndInRange(t *testing.T) {
-	for _, key := range []string{"", "a", "partition-7", "日本語"} {
-		p1 := partitionOf(key, 7)
-		p2 := partitionOf(key, 7)
-		if p1 != p2 {
-			t.Errorf("partitionOf(%q) unstable", key)
+// TestFrameRoutingStableAndInRange: sealed frames route partition p to
+// reducer p mod reducers, the same way on every call.
+func TestFrameRoutingStableAndInRange(t *testing.T) {
+	const parts, reducers = 14, 4
+	input := make([][]byte, parts)
+	for p := range input {
+		input[p] = points.Encode(points.Point{float64(p), 1})
+	}
+	mapper, _ := identityFrameJob(parts)
+	first, _, err := BuildFrames(input, reducers, mapper, nil, points.FrameDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := BuildFrames(input, reducers, mapper, nil, points.FrameDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != reducers {
+		t.Fatalf("%d streams, want %d", len(first), reducers)
+	}
+	for r, stream := range first {
+		if !bytes.Equal(stream, again[r]) {
+			t.Errorf("reducer %d: routing differs between calls", r)
 		}
-		if p1 < 0 || p1 >= 7 {
-			t.Errorf("partitionOf(%q) = %d out of range", key, p1)
+		blocks, err := AssembleFrames([][]byte{stream})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range blocks {
+			if p%reducers != r {
+				t.Errorf("partition %d landed on reducer %d", p, r)
+			}
 		}
 	}
-	if partitionOf("anything", 1) != 0 {
+	single, _, err := BuildFrames(input, 1, mapper, nil, points.FrameDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks, _ := AssembleFrames(single); len(single) != 1 || len(blocks) != parts {
 		t.Error("single reducer must get everything")
 	}
 }
 
 func TestManyWorkersFewTasks(t *testing.T) {
-	got := wordCountJob(t, Config{Workers: 64, SplitSize: 100}, wcDocs)
-	for k, v := range wcWant {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d", k, got[k], v)
-		}
-	}
+	requireWordCounts(t, wordCountJob(t, Config{Workers: 64, SplitSize: 100}, wcDocs, nil))
 }
 
 func BenchmarkWordCount(b *testing.B) {
-	input := make([][]byte, 1000)
-	for i := range input {
-		input[i] = []byte(fmt.Sprintf("word%d common word%d common common", i%50, i%13))
+	docs := make([]string, 1000)
+	for i := range docs {
+		docs[i] = fmt.Sprintf("word%d common word%d common common", i%50, i%13)
 	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, []byte("1"))
-		}
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, []byte(strconv.Itoa(len(values))))
-		return nil
-	})
+	ids, _ := vocabulary(docs)
+	input := docsInput(docs)
+	mapper := wordMapper(ids)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), Config{Workers: 4}, input, mapper, reducer); err != nil {
+		if _, err := RunFrames(context.Background(), Config{Workers: 4}, input, mapper, nil, sumReducer); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,13 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/points"
@@ -108,5 +111,129 @@ func TestFrameSpillTruncatedTyped(t *testing.T) {
 	}
 	if _, err := readFrameSpill(bad); !errors.Is(err, ErrSpillTruncated) {
 		t.Fatalf("corrupt spill: want ErrSpillTruncated, got %v", err)
+	}
+}
+
+// The external shuffle is the spilled frame path: map tasks write sealed
+// frame runs to SpillDir and reduce tasks read them back.
+
+// TestExternalShuffleMatchesInMemory: spilling must change nothing —
+// same partitions, same rows, same row order.
+func TestExternalShuffleMatchesInMemory(t *testing.T) {
+	input := encodeAll(frameTestData(300, 3, 11))
+	mapper, reducer := identityFrameJob(17)
+	runWith := func(spill string) map[int]*points.Block {
+		res, err := RunFrames(context.Background(),
+			Config{Workers: 3, Reducers: 3, SplitSize: 20, SpillDir: spill},
+			input, mapper, nil, reducer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Blocks
+	}
+	requireSameBlocks(t, runWith(""), runWith(t.TempDir()))
+}
+
+// TestExternalShuffleReduceRetry: a reduce task that fails on its first
+// attempt must be replayable from the spill runs, which are removed
+// afterwards.
+func TestExternalShuffleReduceRetry(t *testing.T) {
+	dir := t.TempDir()
+	var failures int32
+	reducer := FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
+		if atomic.AddInt32(&failures, 1) == 1 {
+			return errors.New("transient reduce failure")
+		}
+		return sumReducer(partition, blk, emit)
+	})
+	docs := []string{"k", "k", "k", "k", "k", "k"}
+	ids, _ := vocabulary(docs)
+	res, err := RunFrames(context.Background(),
+		Config{Workers: 1, Reducers: 1, SplitSize: 5, SpillDir: dir, MaxAttempts: 3},
+		docsInput(docs), wordMapper(ids), nil, reducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Blocks) != 1 || res.Blocks[0].Row(0)[0] != 6 {
+		t.Fatalf("blocks = %v", res.Blocks)
+	}
+	if res.Counters.Get(CounterRedRetries) == 0 {
+		t.Error("no reduce retry recorded")
+	}
+	requireNoSpillFiles(t, dir)
+}
+
+func TestExternalShuffleCountsRecords(t *testing.T) {
+	docs := []string{"a", "b", "a"}
+	ids, _ := vocabulary(docs)
+	res, err := RunFrames(context.Background(), Config{SpillDir: t.TempDir(), SplitSize: 1},
+		docsInput(docs), wordMapper(ids), nil, sumReducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Counters.Get(CounterShuffle); got != 3 {
+		t.Errorf("spilled shuffle counted %d records, want 3", got)
+	}
+}
+
+// TestMergeStreamManyRuns: many map tasks × few reducers, so every
+// reducer gathers its partitions from many spill runs — on both the
+// assembling and the streaming reduce paths.
+func TestMergeStreamManyRuns(t *testing.T) {
+	docs := make([]string, 200)
+	for i := range docs {
+		docs[i] = fmt.Sprintf("key%d", i%5)
+	}
+	ids, words := vocabulary(docs)
+	input := docsInput(docs)
+	cfg := Config{Workers: 4, Reducers: 2, SplitSize: 3, SpillDir: t.TempDir()}
+	res, err := RunFrames(context.Background(), cfg, input, wordMapper(ids), nil, sumReducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, blk := range res.Blocks {
+		if got := blk.Row(0)[0]; got != 40 {
+			t.Errorf("%s count = %v, want 40", words[id], got)
+		}
+	}
+	// The streaming path keeps every spilled row; a budget large enough
+	// for one window holds the five distinct points.
+	folded, err := RunFramesFold(context.Background(), cfg, input, wordMapper(ids), nil,
+		BudgetedFolder(1, 1<<20, cfg.SpillDir, points.FrameDefault))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, blk := range folded.Blocks {
+		if blk.Len() != 40 {
+			t.Errorf("%s: %d folded rows, want 40 duplicates", words[id], blk.Len())
+		}
+	}
+	requireNoSpillFiles(t, cfg.SpillDir)
+}
+
+func TestCompressedSpillSameResult(t *testing.T) {
+	docs := make([]string, 120)
+	for i := range docs {
+		docs[i] = fmt.Sprintf("k%d", i%9)
+	}
+	ids, _ := vocabulary(docs)
+	input := docsInput(docs)
+	mapper, reducer := wordMapper(ids), sumReducer
+	plain, err := RunFrames(context.Background(),
+		Config{Workers: 2, Reducers: 2, SplitSize: 10, SpillDir: t.TempDir()},
+		input, mapper, nil, reducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed, err := RunFrames(context.Background(),
+		Config{Workers: 2, Reducers: 2, SplitSize: 10, SpillDir: t.TempDir(), CompressSpill: true},
+		input, mapper, nil, reducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBlocks(t, plain.Blocks, compressed.Blocks)
+	if compressed.Counters.Get(CounterSpillBytes) >= plain.Counters.Get(CounterSpillBytes) {
+		t.Errorf("compression did not shrink spill: %d vs %d bytes",
+			compressed.Counters.Get(CounterSpillBytes), plain.Counters.Get(CounterSpillBytes))
 	}
 }

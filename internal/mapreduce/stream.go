@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
+	"sort"
 
 	"repro/internal/points"
 	"repro/internal/telemetry"
@@ -147,16 +147,13 @@ func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.Fra
 	return out[0], st, nil
 }
 
+// sortedInts returns the map's partition ids ascending.
 func sortedInts[V any](m map[int]V) []int {
 	ids := make([]int, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort; partition counts are small
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sort.Ints(ids)
 	return ids
 }
 
@@ -227,122 +224,11 @@ func RunFramesChunked(ctx context.Context, cfg Config, src ChunkSource, mapper B
 	}
 	chunks := src.Chunks()
 	cfg = cfg.withDefaults(chunks)
-	counters := NewCounters()
-	start := time.Now()
-	cfg.emit("job-start", "", -1, "")
-	ctx, jobSpan := telemetry.StartSpan(ctx, "mr-job:"+cfg.Name,
-		telemetry.A("job", cfg.Name), telemetry.A("workers", cfg.Workers),
-		telemetry.A("reducers", cfg.Reducers), telemetry.A("chunks", chunks),
-		telemetry.A("shuffle", "frames-chunked"))
-	fail := func(err error) (*FrameResult, error) {
-		cfg.emit("job-end", "", -1, err.Error())
-		jobSpan.SetAttr("error", err.Error())
-		jobSpan.End()
-		return nil, err
+	mapTask := func(task int, counters *Counters) (frameTaskOutput, int, error) {
+		return runChunkMapTask(cfg, task, src, mapper, combiner, counters)
 	}
-
-	// --- Map (+ combine): one task per chunk --------------------------
-	cfg.emit("phase-start", "map", -1, "")
-	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", chunks))
-	mapStart := time.Now()
-	outputs := make([]frameTaskOutput, chunks)
-	var combineNanos int64
-	err := runTasks(mapCtx, cfg.Workers, chunks, func(worker, task int) error {
-		var lastErr error
-		cfg.emit("task-start", "map", task, "")
-		_, span := telemetry.StartSpan(mapCtx, "map-task", telemetry.A("task", task))
-		span.SetTrack(worker + 1)
-		taskStart := time.Now()
-		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-			if attempt > 1 {
-				counters.Add(CounterMapRetries, 1)
-				cfg.emit("task-retry", "map", task, lastErr.Error())
-			}
-			out, n, err := runChunkMapTask(cfg, task, src, mapper, combiner, counters)
-			if err == nil {
-				outputs[task] = out
-				span.SetAttr("records", n)
-				span.End()
-				cfg.emitEvent(Event{Kind: "task-end", Phase: "map", Task: task,
-					Worker: worker + 1, Duration: time.Since(taskStart), Records: int64(n)})
-				return nil
-			}
-			lastErr = err
-		}
-		span.SetAttr("error", lastErr.Error())
-		span.End()
-		cfg.emitEvent(Event{Kind: "task-end", Phase: "map", Task: task, Err: lastErr.Error(),
-			Worker: worker + 1, Duration: time.Since(taskStart)})
-		return fmt.Errorf("mapreduce: %s: map task %d failed after %d attempt(s): %w",
-			cfg.Name, task, cfg.MaxAttempts, lastErr)
-	})
-	mapSpan.End()
-	defer removeFrameSpills(outputs)
-	if err != nil {
-		return fail(err)
-	}
-	// Combine time is tallied inside runChunkMapTask via outputs.
-	for _, out := range outputs {
-		combineNanos += out.combineNanos
-	}
-	mapDur := time.Since(mapStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "map", Task: -1,
-		Duration: mapDur, Records: counters.Get(CounterMapOut)})
-
-	// --- Shuffle (bookkeeping only; frames are pre-partitioned) -------
-	cfg.emit("phase-start", "shuffle", -1, "")
-	_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
-	shuffleStart := time.Now()
-	var shufRecs, shufBytes int64
-	partStats := make(map[int]PartStat)
-	for _, out := range outputs {
-		shufRecs += out.recs
-		shufBytes += out.bytes
-		for id, ps := range out.parts {
-			acc := partStats[id]
-			acc.Records += ps.Records
-			acc.Bytes += ps.Bytes
-			partStats[id] = acc
-		}
-	}
-	counters.Add(CounterShuffle, shufRecs)
-	counters.Add(CounterShuffleBytes, shufBytes)
-	shuffleSpan.End()
-	shuffleDur := time.Since(shuffleStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "shuffle", Task: -1,
-		Duration: shuffleDur, Records: shufRecs})
-
-	// --- Reduce (streaming folds) --------------------------------------
-	cfg.emit("phase-start", "reduce", -1, "")
-	redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
-	reduceStart := time.Now()
-	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, nil, folder, counters)
-	reduceSpan.End()
-	if err != nil {
-		return fail(err)
-	}
-	reduceDur := time.Since(reduceStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "reduce", Task: -1,
-		Duration: reduceDur, Records: counters.Get(CounterReduceOut)})
-	cfg.emit("job-end", "", -1, "")
-	jobSpan.End()
-
-	res := &FrameResult{
-		Blocks:           blocks,
-		Counters:         counters,
-		Partitions:       partStats,
-		ReducerPeakBytes: redStats.PeakBytes,
-		MergePasses:      redStats.Passes,
-		Timing: Timing{
-			Map:     mapDur,
-			Combine: time.Duration(combineNanos),
-			Shuffle: shuffleDur,
-			Reduce:  reduceDur,
-			Total:   time.Since(start),
-		},
-	}
-	bridgeCounters(cfg, counters, res.Timing)
-	return res, nil
+	return runJob(ctx, cfg, chunks, mapTask, nil, folder,
+		telemetry.A("chunks", chunks), telemetry.A("shuffle", "frames-chunked"))
 }
 
 // runChunkMapTask reads one chunk and maps, combines, seals and
@@ -359,50 +245,13 @@ func runChunkMapTask(cfg Config, task int, src ChunkSource, mapper BlockMapper, 
 		fb.reset()
 		frameBuilderPool.Put(fb)
 	}()
-	var st FrameStats
 	if err := mapper.MapBlock(blk, fb.add); err != nil {
 		return frameTaskOutput{}, 0, err
 	}
-	if fb.err != nil {
-		return frameTaskOutput{}, 0, fb.err
-	}
-	st.Partitions = make(map[int]PartStat, len(fb.touched))
-	for _, p := range fb.touched {
-		c := int64(fb.blocks[p].Len())
-		st.MapOut += c
-		st.Partitions[p] = PartStat{Records: c}
-	}
-	counters.Add(CounterMapOut, st.MapOut)
-	if combiner != nil {
-		cs := time.Now()
-		for _, p := range fb.touched {
-			b := fb.blocks[p]
-			if b.Len() == 0 {
-				continue
-			}
-			st.CombineIn += int64(b.Len())
-			out, err := combiner(p, b)
-			if err != nil {
-				return frameTaskOutput{}, 0, fmt.Errorf("frame combiner: %w", err)
-			}
-			fb.blocks[p] = out
-			st.CombineOut += int64(out.Len())
-		}
-		st.CombineNanos = time.Since(cs).Nanoseconds()
-		counters.Add(CounterCombineIn, st.CombineIn)
-		counters.Add(CounterCombineOut, st.CombineOut)
-	}
-	streams, recs, bytes := fb.seal(cfg.Reducers, st.Partitions, cfg.Codec)
-	out := frameTaskOutput{recs: recs, bytes: bytes, parts: st.Partitions,
-		combineNanos: st.CombineNanos}
-	if cfg.SpillDir == "" {
-		out.streams = streams
-		return out, n, nil
-	}
-	files, err := spillFrameStreams(cfg, task, streams, counters)
+	streams, st, err := fb.combineAndSeal(cfg.Reducers, combiner, cfg.Codec)
 	if err != nil {
 		return frameTaskOutput{}, 0, err
 	}
-	out.files = files
-	return out, n, nil
+	out, err := finishMapTask(cfg, task, streams, st, counters)
+	return out, n, err
 }

@@ -11,36 +11,6 @@ import (
 	"repro/internal/skyline"
 )
 
-// budgetFold adapts skyline.BudgetedFold to the FrameFold interface the
-// way the driver does, reporting its peak through FoldPeaker.
-type budgetFold struct {
-	partition int
-	fold      *skyline.BudgetedFold
-	stats     skyline.FoldStats
-}
-
-func newBudgetFold(partition, dim int, budget int64, dir string) *budgetFold {
-	return &budgetFold{partition: partition,
-		fold: skyline.NewBudgetedFold(dim, budget, dir, points.FrameAuto)}
-}
-
-func (b *budgetFold) Absorb(blk *points.Block) error { return b.fold.Absorb(blk) }
-
-func (b *budgetFold) Finish(emit EmitPoint) error {
-	out, err := b.fold.Finish()
-	if err != nil {
-		return err
-	}
-	b.stats = b.fold.Stats()
-	for i := 0; i < out.Len(); i++ {
-		emit(b.partition, out.Row(i))
-	}
-	return nil
-}
-
-func (b *budgetFold) PeakBytes() int64 { return b.fold.Stats().PeakBytes }
-func (b *budgetFold) Passes() int      { return b.fold.Stats().Passes }
-
 // canonicalBlocks renders a result's blocks as sorted strings per
 // partition for multiset comparison.
 func canonicalBlocks(t *testing.T, blocks map[int]*points.Block) map[int][]string {
@@ -88,15 +58,7 @@ func streamSkyMapper(d, parts int) FrameMapper {
 
 // skylineReducer computes each partition's skyline via the in-memory
 // flat kernel — the oracle the budgeted path must match.
-func skylineReducer() FrameReducer {
-	return FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
-		out := skyline.BlockBNL(blk)
-		for i := 0; i < out.Len(); i++ {
-			emit(partition, out.Row(i))
-		}
-		return nil
-	})
-}
+func skylineReducer() FrameReducer { return KernelReducer(skyline.BlockBNL) }
 
 // TestRunFramesFoldOracle: the streaming budgeted reduce must produce
 // exactly the in-memory reduce's skyline, partition by partition, under
@@ -134,9 +96,7 @@ func TestRunFramesFoldOracle(t *testing.T) {
 			if tc.spill {
 				cfg.SpillDir = dir
 			}
-			folder := func(partition int) FrameFold {
-				return newBudgetFold(partition, d, tc.budget, dir)
-			}
+			folder := BudgetedFolder(d, tc.budget, dir, points.FrameAuto)
 			res, err := RunFramesFold(context.Background(), cfg, input, mapper, nil, folder)
 			if err != nil {
 				t.Fatalf("RunFramesFold: %v", err)
@@ -231,9 +191,7 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Name: "chunked", Workers: 4, Reducers: 2,
 				SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: budget}
-			folder := func(partition int) FrameFold {
-				return newBudgetFold(partition, d, budget, dir)
-			}
+			folder := BudgetedFolder(d, budget, dir, points.FrameAuto)
 			res, err := RunFramesChunked(context.Background(), cfg, src, blockMapper, combiner, folder)
 			if err != nil {
 				t.Fatalf("RunFramesChunked: %v", err)

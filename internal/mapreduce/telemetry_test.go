@@ -16,7 +16,7 @@ func TestEngineSpans(t *testing.T) {
 	ctx := telemetry.WithTracer(context.Background(), tr)
 	cfg := Config{Name: "spanned", Workers: 2, Reducers: 2, SplitSize: 1}
 	input := [][]byte{[]byte("a b"), []byte("c d"), []byte("e")}
-	if _, err := Run(ctx, cfg, input, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(ctx, cfg, input, traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,7 +64,7 @@ func TestEngineMetricsBridge(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := Config{Name: "metered", Workers: 2, SplitSize: 1, Metrics: reg}
 	input := [][]byte{[]byte("x y"), []byte("z")}
-	res, err := Run(context.Background(), cfg, input, traceMapper(), traceReducer())
+	res, err := RunFrames(context.Background(), cfg, input, traceMapper(), nil, traceReducer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEngineMetricsBridge(t *testing.T) {
 // record anything anywhere (the default-off contract for library code).
 func TestTelemetryOffIsInert(t *testing.T) {
 	cfg := Config{Name: "dark", Workers: 1}
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 }

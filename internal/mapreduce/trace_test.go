@@ -10,27 +10,24 @@ import (
 	"testing"
 )
 
-func traceMapper() Mapper {
-	return MapperFunc(func(rec []byte, emit Emit) error {
+// traceMapper routes each word to the partition of its first letter.
+func traceMapper() FrameMapper {
+	return FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
 		for _, w := range strings.Fields(string(rec)) {
-			emit(w, []byte("1"))
+			emit(int(w[0]-'a'), []float64{1})
 		}
 		return nil
 	})
 }
 
-func traceReducer() Reducer {
-	return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, nil)
-		return nil
-	})
-}
+// traceReducer emits one point per partition.
+func traceReducer() FrameReducer { return sumReducer }
 
 func TestTraceLifecycle(t *testing.T) {
 	sink := &MemorySink{}
 	cfg := Config{Name: "traced", Workers: 2, Reducers: 2, SplitSize: 1, Trace: sink}
 	input := [][]byte{[]byte("a b"), []byte("c")}
-	if _, err := Run(context.Background(), cfg, input, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, input, traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 	events := sink.Events()
@@ -89,15 +86,15 @@ func TestTraceLifecycle(t *testing.T) {
 func TestTraceRetries(t *testing.T) {
 	sink := &MemorySink{}
 	var calls int32
-	flaky := MapperFunc(func(rec []byte, emit Emit) error {
+	flaky := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
 		if atomic.AddInt32(&calls, 1) == 1 {
 			return errors.New("transient")
 		}
-		emit("k", rec)
+		emit(0, []float64{1})
 		return nil
 	})
 	cfg := Config{Workers: 1, MaxAttempts: 2, Trace: sink}
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("x")}, flaky, traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("x")}, flaky, nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -113,9 +110,9 @@ func TestTraceRetries(t *testing.T) {
 
 func TestTraceFailureEndsJob(t *testing.T) {
 	sink := &MemorySink{}
-	bad := MapperFunc(func(rec []byte, emit Emit) error { return errors.New("fatal") })
+	bad := FrameMapperFunc(func(rec []byte, emit EmitPoint) error { return errors.New("fatal") })
 	cfg := Config{Trace: sink}
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("x")}, bad, traceReducer()); err == nil {
+	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("x")}, bad, nil, traceReducer()); err == nil {
 		t.Fatal("job should fail")
 	}
 	events := sink.Events()
@@ -129,7 +126,7 @@ func TestJSONSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONSink(&buf)
 	cfg := Config{Name: "jsonjob", Workers: 1, Trace: sink}
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -149,7 +146,7 @@ func TestJSONSink(t *testing.T) {
 
 func TestNoTraceNoPanic(t *testing.T) {
 	cfg := Config{} // Trace nil
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -23,19 +23,16 @@ func ensureFlightJobs() {
 		// input controls the task-duration distribution exactly.
 		RegisterJob("slowtail", func(params []byte) (Job, error) {
 			return Job{
-				Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
+				FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
 					ms, err := strconv.Atoi(string(rec))
 					if err != nil {
 						return err
 					}
 					time.Sleep(time.Duration(ms) * time.Millisecond)
-					emit("slept", []byte(strconv.Itoa(ms)))
+					emit(0, []float64{float64(ms)})
 					return nil
 				}),
-				Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-					emit(key, []byte(strconv.Itoa(len(values))))
-					return nil
-				}),
+				FrameReducer: sumFrames,
 			}, nil
 		})
 	})

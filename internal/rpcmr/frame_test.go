@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -17,9 +16,9 @@ import (
 
 const frameParts = 5
 
-// ensureFrameJobs registers the framed skyline job and its classic
-// WirePair twin. Separate Once from ensureJobs, which it calls first:
-// ensureJobs owns resetRegistryForTest, so ordering matters.
+// ensureFrameJobs registers the skyline test job. Separate Once from
+// ensureJobs, which it calls first: ensureJobs owns
+// resetRegistryForTest, so ordering matters.
 var frameJobsOnce sync.Once
 
 func ensureFrameJobs() {
@@ -49,35 +48,6 @@ func ensureFrameJobs() {
 				}),
 			}, nil
 		})
-		// skyline-classic: the same job through the WirePair path.
-		sky := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-			set := make(points.Set, 0, len(values))
-			for _, v := range values {
-				p, err := points.Decode(v)
-				if err != nil {
-					return err
-				}
-				set = append(set, p)
-			}
-			for _, p := range skyline.BNL(set) {
-				emit(key, points.Encode(p))
-			}
-			return nil
-		})
-		RegisterJob("skyline-classic", func(params []byte) (Job, error) {
-			return Job{
-				Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-					p, err := points.Decode(rec)
-					if err != nil {
-						return err
-					}
-					emit(strconv.Itoa(int(p[0])%frameParts), rec)
-					return nil
-				}),
-				Combiner: sky,
-				Reducer:  sky,
-			}, nil
-		})
 	})
 }
 
@@ -98,9 +68,9 @@ func frameClusterInput(n, d int, seed int64) [][]byte {
 	return input
 }
 
-// distinctSorted reduces a multiset to its sorted distinct points.
-func distinctSorted(s points.Set) points.Set {
-	out := s.Dedup()
+// sortedCopy returns s sorted lexicographically, duplicates kept.
+func sortedCopy(s points.Set) points.Set {
+	out := append(points.Set(nil), s...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		for k := range a {
@@ -113,55 +83,43 @@ func distinctSorted(s points.Set) points.Set {
 	return out
 }
 
-// TestFramedJobMatchesClassic runs the same skyline job through the
-// frame transport and the WirePair transport on a 3-worker cluster and
-// requires identical per-partition skylines.
+// TestFramedJobMatchesClassic runs the framed skyline job on a 3-worker
+// cluster over duplicate-heavy input and requires, per partition, exactly
+// the classic skyline.BNL skyline of the points routed there, as a
+// sorted multiset.
 func TestFramedJobMatchesClassic(t *testing.T) {
 	ensureFrameJobs()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 3, WorkerConfig{})
 	input := frameClusterInput(1500, 4, 11)
 
-	framed, err := master.Run(context.Background(),
+	res, err := master.Run(context.Background(),
 		JobSpec{Name: "skyline-frame", Reducers: 3}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if framed.Blocks == nil || framed.Pairs != nil {
-		t.Fatal("framed job must return Blocks, not Pairs")
-	}
-	classic, err := master.Run(context.Background(),
-		JobSpec{Name: "skyline-classic", Reducers: 3}, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := map[int]points.Set{}
-	for _, p := range classic.Pairs {
-		id, err := strconv.Atoi(p.Key)
+	routed := map[int]points.Set{}
+	for _, rec := range input {
+		p, err := points.Decode(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt, err := points.Decode(p.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = append(want[id], pt)
+		routed[int(p[0])%frameParts] = append(routed[int(p[0])%frameParts], p)
 	}
-	if len(framed.Blocks) != len(want) {
-		t.Fatalf("partitions: framed %d, classic %d", len(framed.Blocks), len(want))
+	if len(res.Blocks) != len(routed) {
+		t.Fatalf("partitions: got %d, oracle %d", len(res.Blocks), len(routed))
 	}
-	for id, w := range want {
-		blk := framed.Blocks[id]
+	for id, members := range routed {
+		blk := res.Blocks[id]
 		if blk == nil {
-			t.Fatalf("partition %d missing from framed result", id)
+			t.Fatalf("partition %d missing from the result", id)
 		}
-		ws, gs := distinctSorted(w), distinctSorted(blk.ToSet())
-		if len(ws) != len(gs) {
-			t.Fatalf("partition %d: skyline sizes %d vs %d", id, len(gs), len(ws))
+		want, got := sortedCopy(skyline.BNL(members)), sortedCopy(blk.ToSet())
+		if len(want) != len(got) {
+			t.Fatalf("partition %d: skyline sizes %d vs BNL %d", id, len(got), len(want))
 		}
-		for i := range ws {
-			if !ws[i].Equal(gs[i]) {
-				t.Fatalf("partition %d point %d: %v vs %v", id, i, gs[i], ws[i])
+		for i := range want {
+			if !want[i].Equal(got[i]) {
+				t.Fatalf("partition %d point %d: %v vs BNL %v", id, i, got[i], want[i])
 			}
 		}
 	}

@@ -111,18 +111,14 @@ type Master struct {
 // jobState tracks one running job.
 type jobState struct {
 	spec      JobSpec
-	framed    bool     // block-framed shuffle: frame payloads, not WirePairs
 	phase     TaskKind // TaskMap or TaskReduce
 	splitData [][][]byte
 	tasks     []*taskState
 	pending   []int // indexes of queued tasks of the current phase
 	done      int   // completed tasks of the current phase
-	mapOut    [][][]WirePair
-	groups    [][]Group
-	out       []WirePair
-	// Frame-path state: frameOut[task][r] is map task's sealed stream for
-	// reducer r; frameStreams[r] gathers reducer r's streams in map-task
-	// order; outFrames[r] is reduce task r's output stream.
+	// frameOut[task][r] is map task's sealed stream for reducer r;
+	// frameStreams[r] gathers reducer r's streams in map-task order;
+	// outFrames[r] is reduce task r's output stream.
 	frameOut     [][][]byte
 	frameStreams [][][]byte
 	outFrames    [][]byte
@@ -166,16 +162,15 @@ type JobSpec struct {
 	Reducers int
 }
 
-// JobResult is what a distributed run returns. Classic jobs fill Pairs;
-// framed jobs fill Blocks (partition id → reduce output block, assembled
-// from the workers' output frames in reduce-task order).
+// JobResult is what a distributed run returns: Blocks maps partition id
+// → reduce output block, assembled from the workers' output frames in
+// reduce-task order.
 type JobResult struct {
-	Pairs      []mapreduce.Pair
 	Blocks     map[int]*points.Block
 	MapTime    time.Duration
 	ReduceTime time.Duration
 	// Partitions breaks the map-side shuffle volume down by data-space
-	// partition id (frame jobs only), aggregated from worker reports.
+	// partition id, aggregated from worker reports.
 	Partitions map[int]mapreduce.PartStat
 }
 
@@ -330,10 +325,8 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 		spec.Reducers = 1
 	}
 	// Validate the job is instantiable on the master side too, so typos
-	// fail fast rather than on a worker — and learn whether it runs the
-	// block-framed shuffle.
-	job, err := lookupJob(spec.Name, spec.Params)
-	if err != nil {
+	// fail fast rather than on a worker.
+	if _, err := lookupJob(spec.Name, spec.Params); err != nil {
 		return nil, err
 	}
 	ctx, jobSpan := telemetry.StartSpan(ctx, "rpcmr-job:"+spec.Name,
@@ -372,7 +365,6 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 	}
 	js := &jobState{
 		spec:     spec,
-		framed:   job.framed(),
 		phase:    TaskMap,
 		finished: make(chan struct{}),
 		mapStart: time.Now(),
@@ -396,11 +388,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 		}
 		splits = append(splits, input[off:end])
 	}
-	if js.framed {
-		js.frameOut = make([][][]byte, len(splits))
-	} else {
-		js.mapOut = make([][][]WirePair, len(splits))
-	}
+	js.frameOut = make([][][]byte, len(splits))
 	for i := range splits {
 		js.tasks = append(js.tasks, &taskState{id: i})
 		js.pending = append(js.pending, i)
@@ -452,74 +440,37 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 	telemetry.RecordSpan(ctx, "reduce", js.redStart, redDur,
 		telemetry.A("tasks", spec.Reducers))
 	endJob("ok", nil)
-	if js.framed {
-		// Assemble reduce-output frames in reduce-task order — the per-task
-		// slots make completion order irrelevant, so output is deterministic.
-		blocks, err := mapreduce.AssembleFrames(js.outFrames)
-		if err != nil {
-			return nil, fmt.Errorf("rpcmr: assembling reduce output frames: %w", err)
-		}
-		return &JobResult{Blocks: blocks, MapTime: js.mapDur, ReduceTime: redDur,
-			Partitions: js.partStats}, nil
+	// Assemble reduce-output frames in reduce-task order — the per-task
+	// slots make completion order irrelevant, so output is deterministic.
+	blocks, err := mapreduce.AssembleFrames(js.outFrames)
+	if err != nil {
+		return nil, fmt.Errorf("rpcmr: assembling reduce output frames: %w", err)
 	}
-	pairs := make([]mapreduce.Pair, len(js.out))
-	for i, p := range js.out {
-		pairs[i] = mapreduce.Pair{Key: p.Key, Value: p.Value}
-	}
-	// Reduce tasks complete in arbitrary order; sort by key (stable, so
-	// per-task emission order within a key survives) for deterministic
-	// output across runs.
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return &JobResult{Pairs: pairs, MapTime: js.mapDur, ReduceTime: redDur}, nil
+	return &JobResult{Blocks: blocks, MapTime: js.mapDur, ReduceTime: redDur,
+		Partitions: js.partStats}, nil
 }
 
-// startReducePhase (mu held) transitions from map to reduce: group map
-// outputs by reducer partition and key, then queue reduce tasks.
+// startReducePhase (mu held) transitions from map to reduce: gather map
+// outputs by reducer, then queue reduce tasks.
 func (m *Master) startReducePhase(js *jobState) {
 	js.mapDur = time.Since(js.mapStart)
 	js.phase = TaskReduce
 	m.cfg.Events.Info("phase end", telemetry.A("job", js.spec.Name),
 		telemetry.A("phase", "map"), telemetry.A("seconds", js.mapDur.Seconds()))
 	shuffleStart := time.Now()
-	if js.framed {
-		// Frame shuffle: map tasks already sealed per-reducer streams, so
-		// the master only gathers slices in map-task order — no per-key
-		// grouping, no string sort, no per-point copying.
-		js.frameStreams = make([][][]byte, js.spec.Reducers)
-		for r := 0; r < js.spec.Reducers; r++ {
-			for _, taskParts := range js.frameOut {
-				if r < len(taskParts) && len(taskParts[r]) > 0 {
-					js.frameStreams[r] = append(js.frameStreams[r], taskParts[r])
-				}
+	// Map tasks already sealed per-reducer streams, so the master only
+	// gathers slices in map-task order — no per-key grouping, no sort, no
+	// per-point copying.
+	js.frameStreams = make([][][]byte, js.spec.Reducers)
+	for r := 0; r < js.spec.Reducers; r++ {
+		for _, taskParts := range js.frameOut {
+			if r < len(taskParts) && len(taskParts[r]) > 0 {
+				js.frameStreams[r] = append(js.frameStreams[r], taskParts[r])
 			}
 		}
-		js.frameOut = nil
-		js.outFrames = make([][]byte, js.spec.Reducers)
-	} else {
-		js.groups = make([][]Group, js.spec.Reducers)
-		for r := 0; r < js.spec.Reducers; r++ {
-			order := []string{}
-			byKey := map[string][][]byte{}
-			for _, taskParts := range js.mapOut {
-				if r >= len(taskParts) {
-					continue
-				}
-				for _, p := range taskParts[r] {
-					if _, ok := byKey[p.Key]; !ok {
-						order = append(order, p.Key)
-					}
-					byKey[p.Key] = append(byKey[p.Key], p.Value)
-				}
-			}
-			sort.Strings(order)
-			gs := make([]Group, 0, len(order))
-			for _, k := range order {
-				gs = append(gs, Group{Key: k, Values: byKey[k]})
-			}
-			js.groups[r] = gs
-		}
-		js.mapOut = nil
 	}
+	js.frameOut = nil
+	js.outFrames = make([][]byte, js.spec.Reducers)
 	js.shuffleDur = time.Since(shuffleStart)
 	js.redStart = time.Now()
 	js.tasks = js.tasks[:0]

@@ -36,33 +36,22 @@ func init() {
 	gob.Register(false)
 }
 
-// Job bundles the user code of one MapReduce job. A job is either
-// classic (Mapper + Reducer, per-pair gob traffic) or framed
-// (FrameMapper + FrameReducer, batched point-frame payloads); the frame
-// fields take precedence when both sets are present, leaving the classic
-// pair as the registered escape hatch.
+// Job bundles the user code of one MapReduce job. Map output crosses the
+// wire as sealed point frames (partition + count + contiguous
+// coordinates), one batched payload per reducer, and reduce input
+// arrives as whole frame streams.
 type Job struct {
-	Mapper mapreduce.Mapper
-	// Combiner optionally folds each map task's local output per key
-	// before it is shipped to the master.
-	Combiner mapreduce.Reducer
-	Reducer  mapreduce.Reducer
-
-	// FrameMapper/FrameReducer switch the job to the block-framed
-	// shuffle: map output crosses the wire as sealed point frames
-	// (partition + count + contiguous coordinates) instead of one
-	// WirePair per point, and reduce input arrives as whole frame
-	// streams. FrameCombiner optionally runs on each assembled block
-	// worker-side before sealing.
+	// FrameMapper routes each input record's points to partitions;
+	// FrameCombiner optionally folds each assembled block worker-side
+	// before sealing; FrameReducer folds one partition's assembled block.
 	FrameMapper   mapreduce.FrameMapper
 	FrameCombiner mapreduce.FrameCombiner
 	FrameReducer  mapreduce.FrameReducer
 
-	// FrameFolder, when non-nil, switches framed reduce tasks to the
-	// streaming fold path: the worker feeds frames into per-partition
-	// folds one at a time instead of assembling full blocks, bounding
-	// reduce memory by the folds' budget. Takes precedence over
-	// FrameReducer on the reduce side.
+	// FrameFolder, when non-nil, switches reduce tasks to the streaming
+	// fold path: the worker feeds frames into per-partition folds one at
+	// a time instead of assembling full blocks, bounding reduce memory by
+	// the folds' budget. Takes precedence over FrameReducer.
 	FrameFolder mapreduce.FrameFolder
 
 	// Codec selects the wire codec for frames the worker seals (map
@@ -71,9 +60,6 @@ type Job struct {
 	// smaller.
 	Codec points.FrameCodec
 }
-
-// framed reports whether the job uses the block-framed shuffle.
-func (j Job) framed() bool { return j.FrameMapper != nil && j.FrameReducer != nil }
 
 // JobFactory instantiates a job from its parameter blob.
 type JobFactory func(params []byte) (Job, error)
@@ -111,8 +97,8 @@ func lookupJob(name string, params []byte) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("rpcmr: instantiating job %q: %w", name, err)
 	}
-	if !job.framed() && (job.Mapper == nil || job.Reducer == nil) {
-		return Job{}, fmt.Errorf("rpcmr: job %q must provide mapper and reducer (classic or frame)", name)
+	if job.FrameMapper == nil || job.FrameReducer == nil {
+		return Job{}, fmt.Errorf("rpcmr: job %q must provide a frame mapper and reducer", name)
 	}
 	return job, nil
 }
@@ -135,23 +121,11 @@ const (
 	TaskWait TaskKind = iota
 	// TaskMap carries input records to map (and combine).
 	TaskMap
-	// TaskReduce carries key groups to reduce.
+	// TaskReduce carries one reducer's frame streams to reduce.
 	TaskReduce
 	// TaskShutdown tells the worker its master has no more work ever.
 	TaskShutdown
 )
-
-// Group is one reduce key group on the wire.
-type Group struct {
-	Key    string
-	Values [][]byte
-}
-
-// WirePair mirrors mapreduce.Pair for gob transport.
-type WirePair struct {
-	Key   string
-	Value []byte
-}
 
 // RegisterArgs announces a worker.
 type RegisterArgs struct {
@@ -180,16 +154,10 @@ type TaskReply struct {
 	JobName  string
 	Params   []byte
 	Reducers int
-	// Framed marks a block-framed job: map tasks report FrameParts
-	// instead of Partitions, reduce tasks receive FrameStreams instead
-	// of Groups.
-	Framed bool
 	// Map payload
 	Records [][]byte
-	// Reduce payload (classic path)
-	Groups []Group
-	// Reduce payload (frame path): sealed frame streams for this
-	// reducer, one per contributing map task, in map-task order.
+	// Reduce payload: sealed frame streams for this reducer, one per
+	// contributing map task, in map-task order.
 	FrameStreams [][]byte
 	// TraceID, ParentSpan and Track propagate the master's trace to the
 	// worker: a non-zero TraceID asks the worker to record its task span
@@ -201,17 +169,14 @@ type TaskReply struct {
 	Track      int
 }
 
-// MapResultArgs reports a finished map task: output pairs partitioned by
-// reducer index.
+// MapResultArgs reports a finished map task: sealed frame streams
+// indexed by reducer.
 type MapResultArgs struct {
 	WorkerID string
 	TaskID   int
 	Attempt  int
-	// Partitions[r] holds the pairs destined for reducer r (classic path).
-	Partitions [][]WirePair
-	// FrameParts[r] holds the sealed frame stream destined for reducer r
-	// (frame path): one batched payload per reducer instead of one
-	// WirePair per point.
+	// FrameParts[r] holds the sealed frame stream destined for reducer r:
+	// one batched payload per reducer.
 	FrameParts [][]byte
 	// Final tells the master not to piggyback another assignment: this
 	// worker is about to stop.
@@ -225,8 +190,8 @@ type MapResultArgs struct {
 	// from a previous job cannot pollute the current trace.
 	Spans   []telemetry.SpanData
 	TraceID uint64
-	// PartStats breaks the task's map output down by data-space partition
-	// (frame path only), feeding the flight recorder's skew picture.
+	// PartStats breaks the task's map output down by data-space
+	// partition, feeding the flight recorder's skew picture.
 	PartStats map[int]mapreduce.PartStat
 }
 
@@ -235,8 +200,7 @@ type ReduceResultArgs struct {
 	WorkerID string
 	TaskID   int
 	Attempt  int
-	Pairs    []WirePair
-	// Frames is the reduce output as one sealed frame stream (frame path).
+	// Frames is the reduce output as one sealed frame stream.
 	Frames []byte
 	// Final tells the master not to piggyback another assignment.
 	Final bool

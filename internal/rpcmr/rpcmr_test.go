@@ -3,6 +3,8 @@ package rpcmr
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,7 +12,30 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/points"
 )
+
+// testVocab numbers every word the test jobs see: the word-count job
+// routes each word to its own partition and counts it as a sum of [1]
+// points, so every worker must agree on the numbering.
+var testVocab = func() []string {
+	words := strings.Fields("the quick brown fox lazy dog jumps and common x y z")
+	for i := 0; i < 13; i++ {
+		words = append(words, "word"+strconv.Itoa(i))
+	}
+	sort.Strings(words)
+	return words
+}()
+
+// sumFrames emits one [sum] point per partition.
+var sumFrames = mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
+	total := 0.0
+	for i := 0; i < blk.Len(); i++ {
+		total += blk.Row(i)[0]
+	}
+	emit(partition, []float64{total})
+	return nil
+})
 
 // registerTestJobs installs the word-count and failing jobs used across
 // tests. Call once per test via ensureJobs.
@@ -19,36 +44,38 @@ var jobsOnce sync.Once
 func ensureJobs() {
 	jobsOnce.Do(func() {
 		resetRegistryForTest()
+		wordID := make(map[string]int, len(testVocab))
+		for i, w := range testVocab {
+			wordID[w] = i
+		}
 		RegisterJob("wordcount", func(params []byte) (Job, error) {
-			sum := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-				total := 0
-				for _, v := range values {
-					n, err := strconv.Atoi(string(v))
-					if err != nil {
-						return err
-					}
-					total += n
-				}
-				emit(key, []byte(strconv.Itoa(total)))
-				return nil
-			})
 			return Job{
-				Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
+				FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
 					for _, w := range strings.Fields(string(rec)) {
-						emit(w, []byte("1"))
+						id, ok := wordID[w]
+						if !ok {
+							return fmt.Errorf("word %q not in the test vocabulary", w)
+						}
+						emit(id, []float64{1})
 					}
 					return nil
 				}),
-				Combiner: sum,
-				Reducer:  sum,
+				FrameCombiner: func(partition int, blk *points.Block) (*points.Block, error) {
+					out := points.NewBlock(0, 1)
+					if err := sumFrames(partition, blk, func(_ int, row []float64) { out.AppendRow(row) }); err != nil {
+						return nil, err
+					}
+					return out, nil
+				},
+				FrameReducer: sumFrames,
 			}, nil
 		})
 		RegisterJob("always-fails", func(params []byte) (Job, error) {
 			return Job{
-				Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
+				FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
 					return errors.New("deterministic task failure")
 				}),
-				Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
+				FrameReducer: mapreduce.FrameReducerFunc(func(int, *points.Block, mapreduce.EmitPoint) error {
 					return nil
 				}),
 			}, nil
@@ -57,6 +84,19 @@ func ensureJobs() {
 			return Job{}, errors.New("cannot instantiate")
 		})
 	})
+}
+
+// wordCounts reads a word-count result back as word → count.
+func wordCounts(t *testing.T, res *JobResult) map[string]int {
+	t.Helper()
+	got := map[string]int{}
+	for id, blk := range res.Blocks {
+		if blk.Len() != 1 {
+			t.Fatalf("partition %d: %d output rows, want 1", id, blk.Len())
+		}
+		got[testVocab[id]] = int(blk.Row(0)[0])
+	}
+	return got
 }
 
 // cluster spins up a master and n workers; cleanup stops everything.
@@ -96,23 +136,20 @@ var wcInput = [][]byte{
 	[]byte("fox and dog and fox"),
 }
 
-var wcWant = map[string]string{
-	"the": "3", "quick": "2", "brown": "1", "fox": "3", "lazy": "1",
-	"dog": "3", "jumps": "1", "and": "2",
+var wcWant = map[string]int{
+	"the": 3, "quick": 2, "brown": 1, "fox": 3, "lazy": 1,
+	"dog": 3, "jumps": 1, "and": 2,
 }
 
 func checkWordCount(t *testing.T, res *JobResult) {
 	t.Helper()
-	got := map[string]string{}
-	for _, p := range res.Pairs {
-		got[p.Key] = string(p.Value)
-	}
+	got := wordCounts(t, res)
 	if len(got) != len(wcWant) {
 		t.Fatalf("got %v, want %v", got, wcWant)
 	}
 	for k, v := range wcWant {
 		if got[k] != v {
-			t.Errorf("count[%q] = %q, want %q", k, got[k], v)
+			t.Errorf("count[%q] = %d, want %d", k, got[k], v)
 		}
 	}
 }
@@ -158,8 +195,8 @@ func TestEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Pairs) != 0 {
-		t.Errorf("pairs = %v", res.Pairs)
+	if len(res.Blocks) != 0 {
+		t.Errorf("blocks = %v", res.Blocks)
 	}
 }
 

@@ -84,7 +84,6 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	reply.JobName = js.spec.Name
 	reply.Params = js.spec.Params
 	reply.Reducers = js.spec.Reducers
-	reply.Framed = js.framed
 	if js.tracer != nil {
 		// Each worker gets its own Chrome-trace row so the stitched trace
 		// reads like the cluster's real timeline.
@@ -102,11 +101,7 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	case TaskMap:
 		reply.Records = js.splitData[id]
 	case TaskReduce:
-		if js.framed {
-			reply.FrameStreams = js.frameStreams[id]
-		} else {
-			reply.Groups = js.groups[id]
-		}
+		reply.FrameStreams = js.frameStreams[id]
 	}
 }
 
@@ -155,17 +150,13 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 	w.tasksDone++
 	m.observeTask(t, "map", args.WorkerID)
 	m.recordCompletion(js, t, "map", args.WorkerID, args.Spans, args.TraceID)
-	if js.framed {
-		js.frameOut[args.TaskID] = args.FrameParts
-		m.observeFrameBytes(args.WorkerID, args.FrameParts)
-		for id, ps := range args.PartStats {
-			acc := js.partStats[id]
-			acc.Records += ps.Records
-			acc.Bytes += ps.Bytes
-			js.partStats[id] = acc
-		}
-	} else {
-		js.mapOut[args.TaskID] = args.Partitions
+	js.frameOut[args.TaskID] = args.FrameParts
+	m.observeFrameBytes(args.WorkerID, args.FrameParts)
+	for id, ps := range args.PartStats {
+		acc := js.partStats[id]
+		acc.Records += ps.Records
+		acc.Bytes += ps.Bytes
+		js.partStats[id] = acc
 	}
 	js.done++
 	reply.Accepted = true
@@ -219,11 +210,7 @@ func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) 
 	w.tasksDone++
 	m.observeTask(t, "reduce", args.WorkerID)
 	m.recordCompletion(js, t, "reduce", args.WorkerID, args.Spans, args.TraceID)
-	if js.framed {
-		js.outFrames[args.TaskID] = args.Frames
-	} else {
-		js.out = append(js.out, args.Pairs...)
-	}
+	js.outFrames[args.TaskID] = args.Frames
 	js.done++
 	reply.Accepted = true
 	if js.done == len(js.tasks) {

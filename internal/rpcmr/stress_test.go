@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
@@ -50,18 +49,14 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]string{}
-	for _, p := range res.Pairs {
-		got[p.Key] = string(p.Value)
-	}
-	if got["common"] != "200" {
-		t.Errorf("common = %s, want 200", got["common"])
+	got := wordCounts(t, res)
+	if got["common"] != 200 {
+		t.Errorf("common = %d, want 200", got["common"])
 	}
 	for i := 0; i < 13; i++ {
 		key := "word" + strconv.Itoa(i)
-		n, err := strconv.Atoi(got[key])
-		if err != nil || n < 15 || n > 16 {
-			t.Errorf("%s = %q, want 15..16", key, got[key])
+		if n := got[key]; n < 15 || n > 16 {
+			t.Errorf("%s = %d, want 15..16", key, n)
 		}
 	}
 }
@@ -77,13 +72,10 @@ func TestStressSequentialJobsAfterChaos(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		joined := ""
-		for _, p := range res.Pairs {
-			joined += p.Key + "=" + string(p.Value) + " "
-		}
-		for _, want := range []string{"x=2", "y=2", "z=2"} {
-			if !strings.Contains(joined, want) {
-				t.Fatalf("round %d: missing %s in %s", round, want, joined)
+		got := wordCounts(t, res)
+		for _, w := range []string{"x", "y", "z"} {
+			if got[w] != 2 {
+				t.Fatalf("round %d: %s = %d, want 2 (%v)", round, w, got[w], got)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package rpcmr
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"net/rpc"
 	"sync"
 	"time"
@@ -241,14 +240,10 @@ func (w *Worker) runMap(task TaskReply) (TaskReply, error) {
 	start := time.Now()
 	w.stall()
 	var err error
-	if task.Framed {
-		args.FrameParts, args.PartStats, err = executeMapFramed(task)
-	} else {
-		args.Partitions, err = executeMap(task)
-	}
+	args.FrameParts, args.PartStats, err = executeMap(task)
 	if err != nil {
 		args.Err = err.Error()
-		args.Partitions, args.FrameParts, args.PartStats = nil, nil, nil
+		args.FrameParts, args.PartStats = nil, nil
 		span.SetAttr("error", err.Error())
 	}
 	args.Spans = finish(err != nil)
@@ -268,18 +263,14 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 		Final:    w.willStop(),
 		TraceID:  task.TraceID,
 	}
-	span, finish := w.taskSpan(task, "reduce-task", len(task.Groups))
+	span, finish := w.taskSpan(task, "reduce-task", len(task.FrameStreams))
 	start := time.Now()
 	w.stall()
 	var err error
-	if task.Framed {
-		args.Frames, err = executeReduceFramed(task)
-	} else {
-		args.Pairs, err = executeReduce(task)
-	}
+	args.Frames, err = executeReduce(task)
 	if err != nil {
 		args.Err = err.Error()
-		args.Pairs, args.Frames = nil, nil
+		args.Frames = nil
 		span.SetAttr("error", err.Error())
 	}
 	args.Spans = finish(err != nil)
@@ -291,77 +282,15 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 	return reply.Next, w.bumpCompleted()
 }
 
-// executeMap runs the mapper (and combiner) of one map task, returning
-// output pairs partitioned by reducer.
-func executeMap(task TaskReply) ([][]WirePair, error) {
-	job, err := lookupJob(task.JobName, task.Params)
-	if err != nil {
-		return nil, err
-	}
-	reducers := task.Reducers
-	if reducers < 1 {
-		reducers = 1
-	}
-	parts := make([][]WirePair, reducers)
-	emit := func(key string, value []byte) {
-		r := wirePartition(key, reducers)
-		parts[r] = append(parts[r], WirePair{Key: key, Value: value})
-	}
-	for _, rec := range task.Records {
-		if err := job.Mapper.Map(rec, emit); err != nil {
-			return nil, err
-		}
-	}
-	if job.Combiner != nil {
-		for r := range parts {
-			combined, err := combineWire(job.Combiner, parts[r])
-			if err != nil {
-				return nil, err
-			}
-			parts[r] = combined
-		}
-	}
-	return parts, nil
-}
-
-// combineWire groups one partition's pairs by key (first-seen order) and
-// applies the combiner.
-func combineWire(combiner mapreduce.Reducer, pairs []WirePair) ([]WirePair, error) {
-	if len(pairs) == 0 {
-		return pairs, nil
-	}
-	order := make([]string, 0, 8)
-	groups := make(map[string][][]byte, 8)
-	for _, p := range pairs {
-		if _, ok := groups[p.Key]; !ok {
-			order = append(order, p.Key)
-		}
-		groups[p.Key] = append(groups[p.Key], p.Value)
-	}
-	var out []WirePair
-	emit := func(key string, value []byte) {
-		out = append(out, WirePair{Key: key, Value: value})
-	}
-	for _, k := range order {
-		if err := combiner.Reduce(k, groups[k], emit); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// executeMapFramed runs one framed map task: the shared frame builder
+// executeMap runs one map task: the shared frame builder
 // (mapreduce.BuildFrames, pooled scratch blocks) maps and combines the
 // records, and the sealed per-reducer streams ship as single batched
-// payloads — one gob slice per reducer instead of one WirePair per
-// point, byte-identical to what the in-process engine would shuffle.
-func executeMapFramed(task TaskReply) ([][]byte, map[int]mapreduce.PartStat, error) {
+// payloads — one gob slice per reducer, byte-identical to what the
+// in-process engine would shuffle.
+func executeMap(task TaskReply) ([][]byte, map[int]mapreduce.PartStat, error) {
 	job, err := lookupJob(task.JobName, task.Params)
 	if err != nil {
 		return nil, nil, err
-	}
-	if !job.framed() {
-		return nil, nil, fmt.Errorf("rpcmr: job %q: framed task for unframed job", task.JobName)
 	}
 	streams, st, err := mapreduce.BuildFrames(task.Records, task.Reducers, job.FrameMapper, job.FrameCombiner, job.Codec)
 	if err != nil {
@@ -370,17 +299,14 @@ func executeMapFramed(task TaskReply) ([][]byte, map[int]mapreduce.PartStat, err
 	return streams, st.Partitions, nil
 }
 
-// executeReduceFramed folds one reducer's frame streams into a single
-// output stream via the shared mapreduce.ReduceFrames — or, when the job
-// carries a FrameFolder, via the streaming mapreduce.ReduceFramesStream,
-// which never assembles a partition's full block.
-func executeReduceFramed(task TaskReply) ([]byte, error) {
+// executeReduce folds one reducer's frame streams into a single output
+// stream via the shared mapreduce.ReduceFrames — or, when the job carries
+// a FrameFolder, via the streaming mapreduce.ReduceFramesStream, which
+// never assembles a partition's full block.
+func executeReduce(task TaskReply) ([]byte, error) {
 	job, err := lookupJob(task.JobName, task.Params)
 	if err != nil {
 		return nil, err
-	}
-	if !job.framed() {
-		return nil, fmt.Errorf("rpcmr: job %q: framed task for unframed job", task.JobName)
 	}
 	if job.FrameFolder != nil {
 		srcs := make([]mapreduce.FrameSource, 0, len(task.FrameStreams))
@@ -392,32 +318,4 @@ func executeReduceFramed(task TaskReply) ([]byte, error) {
 	}
 	out, _, err := mapreduce.ReduceFrames(task.FrameStreams, job.FrameReducer, job.Codec)
 	return out, err
-}
-
-// executeReduce runs the reducer over one task's key groups.
-func executeReduce(task TaskReply) ([]WirePair, error) {
-	job, err := lookupJob(task.JobName, task.Params)
-	if err != nil {
-		return nil, err
-	}
-	var out []WirePair
-	emit := func(key string, value []byte) {
-		out = append(out, WirePair{Key: key, Value: value})
-	}
-	for _, g := range task.Groups {
-		if err := job.Reducer.Reduce(g.Key, g.Values, emit); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// wirePartition must agree between all workers: FNV-1a over the key.
-func wirePartition(key string, reducers int) int {
-	if reducers == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(reducers))
 }

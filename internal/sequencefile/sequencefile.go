@@ -1,6 +1,7 @@
 // Package sequencefile implements a minimal binary key-value record format
 // in the spirit of Hadoop's SequenceFile, used by the MapReduce engine to
-// spill intermediate (key, value) pairs to disk between phases.
+// spill sealed shuffle frames to disk between phases (one record per
+// frame, empty key) and by the budgeted skyline fold for its overflow.
 //
 // File layout:
 //

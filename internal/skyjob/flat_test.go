@@ -6,25 +6,23 @@ import (
 	"testing"
 
 	"repro/internal/mapreduce"
+	"repro/internal/partition"
 	"repro/internal/points"
+	"repro/internal/rpcmr"
 	"repro/internal/skyline"
 )
 
-// collectReducer runs a reducer over encoded values and decodes what it
-// emits.
-func collectReducer(t *testing.T, r mapreduce.Reducer, s points.Set) points.Set {
+// reduceBlock runs a job's frame reducer over one partition's block and
+// collects what it emits.
+func reduceBlock(t *testing.T, r mapreduce.FrameReducer, s points.Set) points.Set {
 	t.Helper()
-	values := make([][]byte, len(s))
-	for i, p := range s {
-		values[i] = points.Encode(p)
+	blk, ok := points.BlockOf(s)
+	if !ok {
+		t.Fatal("mixed-dimension test set")
 	}
 	var out points.Set
-	err := r.Reduce("global", values, func(key string, value []byte) {
-		p, err := points.Decode(value)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p)
+	err := r.ReduceFrame(0, blk, func(_ int, row []float64) {
+		out = append(out, points.Point(row).Clone())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,29 +30,47 @@ func collectReducer(t *testing.T, r mapreduce.Reducer, s points.Set) points.Set 
 	return out
 }
 
-// TestFlatAndClassicReducersAgree: the worker-side reducers of both
-// kernel paths must emit the same skyline multiset for local groups and
-// for the global merge.
+// TestFlatAndClassicReducersAgree: the worker-side flat reducers and
+// combiners of both jobs, for every flat kernel, must emit exactly the
+// classic BNL skyline multiset.
 func TestFlatAndClassicReducersAgree(t *testing.T) {
 	s := points.Set{{3, 1}, {1, 3}, {2, 2}, {1, 3}, {4, 4}, {0, 5}}
-	want := skyline.Naive(s)
-	flatSpec := Spec{Kernel: skyline.BNLAlgorithm}
-	classicSpec := Spec{Kernel: skyline.BNLAlgorithm, ClassicKernel: true}
-	for name, r := range map[string]mapreduce.Reducer{
-		"flat-local":    flatSpec.localReducer(),
-		"classic-local": classicSpec.localReducer(),
-		"flat-merge":    flatSpec.mergeReducer(),
-		"classic-merge": classicSpec.mergeReducer(),
-	} {
-		got := collectReducer(t, r, s)
-		if len(got) != len(want) {
-			t.Fatalf("%s emitted %d points, oracle %d", name, len(got), len(want))
+	want := skyline.BNL(s)
+	sortSet(want)
+	for _, kernel := range []skyline.Algorithm{skyline.BNLAlgorithm, skyline.SFSAlgorithm} {
+		spec, err := SpecFor(s, partition.Grid, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sortSet(got)
-		sortSet(want)
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("%s diverged at %d: %v vs %v", name, i, got[i], want[i])
+		spec.Kernel = kernel
+		params, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := map[string]func([]byte) (rpcmr.Job, error){"local": newPartitionJob, "merge": newMergeJob}
+		for name, factory := range jobs {
+			job, err := factory(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blk, _ := points.BlockOf(s)
+			combined, err := job.FrameCombiner(0, blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for stage, got := range map[string]points.Set{
+				"reducer":  reduceBlock(t, job.FrameReducer, s),
+				"combiner": combined.ToSet(),
+			} {
+				sortSet(got)
+				if len(got) != len(want) {
+					t.Fatalf("%v/%s %s emitted %d points, BNL %d", kernel, name, stage, len(got), len(want))
+				}
+				for i := range got {
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("%v/%s %s diverged at %d: %v vs %v", kernel, name, stage, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -71,29 +87,57 @@ func sortSet(s points.Set) {
 	})
 }
 
-// TestSpecClassicKernelTravels: the escape hatch must survive the JSON
-// trip to workers.
+// TestSpecClassicKernelTravels: every kernel choice, the classic BNL
+// default included, must survive the JSON trip to workers, and a worker's
+// partition job built from the decoded params must reduce with it to the
+// BNL skyline. A zero spec must omit the optional fields.
 func TestSpecClassicKernelTravels(t *testing.T) {
-	in := Spec{Kernel: skyline.SFSAlgorithm, ClassicKernel: true, Dim: 3}
-	b, err := json.Marshal(in)
+	data := uniformSet(11, 300, 3)
+	for i := 0; i < 30; i++ {
+		data = append(data, data[i].Clone())
+	}
+	want := skyline.BNL(data)
+	sortSet(want)
+	spec, err := SpecFor(data, partition.Grid, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out Spec
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
+	for _, alg := range []skyline.Algorithm{skyline.BNLAlgorithm, skyline.SFSAlgorithm, skyline.DCAlgorithm, skyline.NaiveAlgorithm} {
+		spec.Kernel = alg
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out Spec
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Kernel != alg {
+			t.Fatalf("kernel %v did not round-trip: %+v", alg, out)
+		}
+		job, err := newPartitionJob(b)
+		if err != nil {
+			t.Fatalf("kernel %v: %v", alg, err)
+		}
+		got := reduceBlock(t, job.FrameReducer, data)
+		sortSet(got)
+		if len(got) != len(want) {
+			t.Fatalf("kernel %v: worker reducer emitted %d points, BNL %d", alg, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("kernel %v diverged at %d: %v vs %v", alg, i, got[i], want[i])
+			}
+		}
 	}
-	if !out.ClassicKernel || out.Kernel != skyline.SFSAlgorithm {
-		t.Fatalf("spec did not round-trip: %+v", out)
-	}
-	// Default specs must omit the field entirely (wire compatibility with
-	// pre-flat workers, which ignore unknown fields anyway).
 	def, _ := json.Marshal(Spec{})
 	var m map[string]interface{}
 	if err := json.Unmarshal(def, &m); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m["classic_kernel"]; ok {
-		t.Fatal("zero spec serialized classic_kernel")
+	for _, field := range []string{"codec", "reducer_budget_bytes", "angular_splits"} {
+		if _, ok := m[field]; ok {
+			t.Errorf("zero spec serialized %s", field)
+		}
 	}
 }

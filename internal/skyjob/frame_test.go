@@ -2,80 +2,106 @@ package skyjob
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/points"
+	"repro/internal/rpcmr"
 	"repro/internal/skyline"
 )
 
-// TestClusterFrameMatchesClassicShuffle runs the two-job pipeline twice
-// on a 3-worker cluster — framed (the default) and with the
-// ClassicShuffle escape hatch — over a duplicate-heavy dataset, and
-// requires identical global and local skylines, both matching the
-// oracle.
-func TestClusterFrameMatchesClassicShuffle(t *testing.T) {
+// TestClusterFrameMatchesOracle runs the two-job pipeline on a 3-worker
+// cluster over a duplicate-heavy dataset and requires the BNL skyline as
+// a multiset, with every local skyline equal to the BNL skyline of the
+// points its partition received.
+func TestClusterFrameMatchesOracle(t *testing.T) {
 	master := startCluster(t, 3)
 	data := uniformSet(42, 1200, 4)
 	for i := 0; i < 120; i++ {
 		data = append(data, data[i].Clone())
 	}
-	want := skyline.Naive(data)
+	want := skyline.BNL(data)
 
 	for _, scheme := range []partition.Scheme{partition.Angular, partition.Grid} {
 		spec, err := SpecFor(data, scheme, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		framed, err := ComputeSpec(context.Background(), master, data, spec, 3)
+		res, err := ComputeSpec(context.Background(), master, data, spec, 3)
 		if err != nil {
-			t.Fatalf("%v framed: %v", scheme, err)
+			t.Fatalf("%v: %v", scheme, err)
 		}
-		spec.ClassicShuffle = true
-		classic, err := ComputeSpec(context.Background(), master, data, spec, 3)
+		if !sameMultiset(res.Skyline, want) {
+			t.Errorf("%v: skyline (%d pts) != BNL oracle (%d pts)",
+				scheme, len(res.Skyline), len(want))
+		}
+		part, err := spec.Build()
 		if err != nil {
-			t.Fatalf("%v classic: %v", scheme, err)
+			t.Fatal(err)
 		}
-		if !sameMultiset(framed.Skyline, classic.Skyline) {
-			t.Errorf("%v: framed skyline (%d pts) != classic shuffle (%d pts)",
-				scheme, len(framed.Skyline), len(classic.Skyline))
+		members := make(map[int]points.Set)
+		for _, p := range data {
+			id, err := part.Assign(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members[id] = append(members[id], p)
 		}
-		if !sameMultiset(framed.Skyline, want) {
-			t.Errorf("%v: framed skyline (%d pts) != oracle (%d pts)",
-				scheme, len(framed.Skyline), len(want))
+		if len(res.LocalSkylines) != len(members) {
+			t.Fatalf("%v: %d local skylines, %d occupied partitions",
+				scheme, len(res.LocalSkylines), len(members))
 		}
-		if len(framed.LocalSkylines) != len(classic.LocalSkylines) {
-			t.Fatalf("%v: local skyline partitions %d vs %d",
-				scheme, len(framed.LocalSkylines), len(classic.LocalSkylines))
-		}
-		for id, fls := range framed.LocalSkylines {
-			if !sameMultiset(fls, classic.LocalSkylines[id]) {
-				t.Errorf("%v: partition %d local skylines differ", scheme, id)
+		for id, ls := range res.LocalSkylines {
+			if !sameMultiset(ls, skyline.BNL(members[id])) {
+				t.Errorf("%v: partition %d local skyline differs from BNL", scheme, id)
 			}
 		}
-		if framed.Optimality() <= 0 {
-			t.Errorf("%v: optimality = %v, want > 0", scheme, framed.Optimality())
+		if res.Optimality() <= 0 {
+			t.Errorf("%v: optimality = %v, want > 0", scheme, res.Optimality())
 		}
 	}
 }
 
-// TestSpecClassicShuffleTravels: the flag must round-trip through the
-// JSON params so every worker flips consistently.
+// TestSpecClassicShuffleTravels: the shuffle settings must round-trip
+// through the JSON params so every worker shuffles the same way. A fitted
+// spec keeps the raw v1 frames and the assemble-everything reducers; a
+// codec and a reducer budget must reach both jobs a worker builds.
 func TestSpecClassicShuffleTravels(t *testing.T) {
 	data := uniformSet(3, 50, 3)
 	spec, err := SpecFor(data, partition.Grid, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spec.framed() {
-		t.Error("default spec must select the framed shuffle")
+	factories := map[string]func([]byte) (rpcmr.Job, error){"partition": newPartitionJob, "merge": newMergeJob}
+	check := func(spec Spec, wantCodec points.FrameCodec, wantFolder bool) {
+		t.Helper()
+		params, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, factory := range factories {
+			job, err := factory(params)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if job.Codec != wantCodec {
+				t.Errorf("%s job codec = %v, want %v", name, job.Codec, wantCodec)
+			}
+			if (job.FrameFolder != nil) != wantFolder {
+				t.Errorf("%s job folder set = %v, want %v", name, job.FrameFolder != nil, wantFolder)
+			}
+			if job.FrameMapper == nil || job.FrameCombiner == nil || job.FrameReducer == nil {
+				t.Errorf("%s job is missing frame code: %+v", name, job)
+			}
+		}
 	}
-	spec.ClassicShuffle = true
-	if spec.framed() {
-		t.Error("ClassicShuffle did not disable frames")
+	if spec.Codec != points.FrameDefault || spec.ReducerBudgetBytes != 0 {
+		t.Fatalf("fitted spec must default to raw frames, unbudgeted: %+v", spec)
 	}
-	spec.ClassicShuffle = false
-	spec.ClassicKernel = true
-	if spec.framed() {
-		t.Error("ClassicKernel must imply the classic shuffle")
-	}
+	check(spec, points.FrameDefault, false)
+	spec.Codec = points.FrameAuto
+	check(spec, points.FrameAuto, false)
+	spec.ReducerBudgetBytes = 1 << 20
+	check(spec, points.FrameAuto, true)
 }

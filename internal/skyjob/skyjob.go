@@ -35,28 +35,18 @@ type Spec struct {
 	Min        []float64        `json:"min"`
 	Max        []float64        `json:"max"`
 	Partitions int              `json:"partitions"`
-	// Kernel selects the sequential skyline algorithm (default BNL).
+	// Kernel selects the sequential skyline algorithm (default BNL); it
+	// runs as the flat block kernel on every worker.
 	Kernel skyline.Algorithm `json:"kernel"`
-	// ClassicKernel forces the classic points.Set kernels on every worker
-	// instead of the default flat block path (contiguous coordinates,
-	// dimension-specialized dominance, merge-tree global reduce). Both
-	// paths produce identical skylines.
-	ClassicKernel bool `json:"classic_kernel,omitempty"`
-	// ClassicShuffle forces the per-WirePair gob transport instead of the
-	// default block-framed shuffle (batched point frames, integer
-	// partition routing). Implied by ClassicKernel — frames only exist on
-	// the flat path. The spec travels to every worker, so one flag flips
-	// the whole cluster consistently.
-	ClassicShuffle bool `json:"classic_shuffle,omitempty"`
 	// AngularSplits and AngularCuts ship a fitted (equi-depth) angular
 	// partitioner to workers; empty for other schemes.
 	AngularSplits []int         `json:"angular_splits,omitempty"`
 	AngularCuts   [][][]float64 `json:"angular_cuts,omitempty"`
 	// Codec selects the frame wire codec on every worker: 0 keeps raw v1
 	// frames, points.FrameAuto enables the bit-packed v2 encoding wherever
-	// it is smaller. Framed path only.
+	// it is smaller.
 	Codec points.FrameCodec `json:"codec,omitempty"`
-	// ReducerBudgetBytes, when > 0, switches framed reduce tasks to the
+	// ReducerBudgetBytes, when > 0, switches reduce tasks to the
 	// memory-budgeted streaming fold on every worker: frames fold one at a
 	// time into a bounded skyline window that spills and multi-passes when
 	// a local skyline outgrows it, so worker reduce memory stays near the
@@ -117,105 +107,41 @@ func init() {
 	rpcmr.RegisterJob(MergeJobName, newMergeJob)
 }
 
-// localReducer builds the local-skyline reducer of the spec's kernel
-// path. On the default flat path the group's values decode straight into
-// one contiguous block (no per-point allocation) and the block kernel's
-// survivors are re-encoded from rows; ClassicKernel restores the original
-// Set-typed decode-kernel-encode loop.
-func (s Spec) localReducer() mapreduce.Reducer {
-	if s.ClassicKernel {
-		kernel := skyline.ByAlgorithm(s.Kernel)
-		return mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-			set := make(points.Set, 0, len(values))
-			for _, v := range values {
-				p, err := points.Decode(v)
-				if err != nil {
-					return err
-				}
-				set = append(set, p)
-			}
-			for _, p := range kernel(set) {
-				emit(key, points.Encode(p))
-			}
-			return nil
-		})
-	}
-	kernel := skyline.BlockByAlgorithm(s.Kernel)
-	return blockReducer(func(blk *points.Block) *points.Block { return kernel(blk) })
-}
-
-// mergeReducer is the merging job's final reducer: on the flat path the
-// single "global" group runs the parallel merge tree (chunked block
-// skylines folded pairwise across goroutines) instead of one sequential
-// kernel pass; the classic path keeps the paper's single-reducer kernel.
-func (s Spec) mergeReducer() mapreduce.Reducer {
-	if s.ClassicKernel {
-		return s.localReducer()
-	}
-	return blockReducer(func(blk *points.Block) *points.Block {
-		return skyline.ParallelBlock(context.Background(), blk, 0)
-	})
-}
-
-// blockReducer wraps a block kernel into the decode-into-block reducer
-// shape shared by the flat-path jobs.
-func blockReducer(kernel func(*points.Block) *points.Block) mapreduce.Reducer {
-	return mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		blk := points.NewBlock(0, len(values))
-		for _, v := range values {
-			if err := points.AppendDecode(blk, v); err != nil {
-				return err
-			}
-		}
-		sky := kernel(blk)
-		for i := 0; i < sky.Len(); i++ {
-			emit(key, points.Encode(points.Point(sky.Row(i))))
-		}
-		return nil
-	})
-}
-
-// budgetedFold adapts skyline.BudgetedFold to the engine's FrameFold
-// interface for worker-side streaming reduce (mirrors the driver's
-// adapter; duplicated to keep skyjob free of the in-process driver).
-type budgetedFold struct {
-	partition int
-	fold      *skyline.BudgetedFold
-}
-
-func (b *budgetedFold) Absorb(blk *points.Block) error { return b.fold.Absorb(blk) }
-
-func (b *budgetedFold) Finish(emit mapreduce.EmitPoint) error {
-	out, err := b.fold.Finish()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < out.Len(); i++ {
-		emit(b.partition, out.Row(i))
-	}
-	return nil
-}
-
-func (b *budgetedFold) PeakBytes() int64 { return b.fold.Stats().PeakBytes }
-func (b *budgetedFold) Passes() int      { return b.fold.Stats().Passes }
-
 // folder returns the spec's streaming FrameFolder, or nil when the spec
 // is unbudgeted (keeping the assemble-everything reducers).
 func (s Spec) folder() mapreduce.FrameFolder {
 	if s.ReducerBudgetBytes <= 0 {
 		return nil
 	}
-	dim, budget, codec := s.Dim, s.ReducerBudgetBytes, s.Codec
-	return func(partition int) mapreduce.FrameFold {
-		return &budgetedFold{partition: partition,
-			fold: skyline.NewBudgetedFold(dim, budget, "", codec)}
-	}
+	return mapreduce.BudgetedFolder(s.Dim, s.ReducerBudgetBytes, "", s.Codec)
 }
 
-// framed reports whether the spec selects the block-framed shuffle:
-// frames pack flat blocks, so the classic kernel path implies the
-// classic shuffle too.
-func (s Spec) framed() bool { return !s.ClassicKernel && !s.ClassicShuffle }
+// assignMapper decodes each record and routes it to its partition.
+func assignMapper(part partition.Partitioner) mapreduce.FrameMapper {
+	return mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+		p, err := points.Decode(rec)
+		if err != nil {
+			return err
+		}
+		id, err := part.Assign(p)
+		if err != nil {
+			return err
+		}
+		emit(id, p)
+		return nil
+	})
+}
+
+// globalMapper sends every record to the one global partition — paper
+// line 13: output(null, si).
+var globalMapper = mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+	p, err := points.Decode(rec)
+	if err != nil {
+		return err
+	}
+	emit(0, p)
+	return nil
+})
 
 func newPartitionJob(params []byte) (rpcmr.Job, error) {
 	var spec Spec
@@ -226,53 +152,15 @@ func newPartitionJob(params []byte) (rpcmr.Job, error) {
 	if err != nil {
 		return rpcmr.Job{}, err
 	}
-	if spec.framed() {
-		kernel := skyline.BlockByAlgorithm(spec.Kernel)
-		return rpcmr.Job{
-			FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-				p, err := points.Decode(rec)
-				if err != nil {
-					return err
-				}
-				id, err := part.Assign(p)
-				if err != nil {
-					return err
-				}
-				emit(id, p)
-				return nil
-			}),
-			// The local-skyline combiner runs directly on the assembled
-			// block before its frame is sealed for the wire.
-			FrameCombiner: func(partition int, blk *points.Block) (*points.Block, error) {
-				return kernel(blk), nil
-			},
-			FrameReducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-				sky := kernel(blk)
-				for i := 0; i < sky.Len(); i++ {
-					emit(partition, sky.Row(i))
-				}
-				return nil
-			}),
-			FrameFolder: spec.folder(),
-			Codec:       spec.Codec,
-		}, nil
-	}
-	reducer := spec.localReducer()
+	kernel := skyline.BlockByAlgorithm(spec.Kernel)
 	return rpcmr.Job{
-		Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-			p, err := points.Decode(rec)
-			if err != nil {
-				return err
-			}
-			id, err := part.Assign(p)
-			if err != nil {
-				return err
-			}
-			emit(strconv.Itoa(id), rec)
-			return nil
-		}),
-		Combiner: reducer,
-		Reducer:  reducer,
+		FrameMapper: assignMapper(part),
+		// The local-skyline combiner runs directly on the assembled block
+		// before its frame is sealed for the wire.
+		FrameCombiner: mapreduce.KernelCombiner(kernel),
+		FrameReducer:  mapreduce.KernelReducer(kernel),
+		FrameFolder:   spec.folder(),
+		Codec:         spec.Codec,
 	}, nil
 }
 
@@ -281,39 +169,35 @@ func newMergeJob(params []byte) (rpcmr.Job, error) {
 	if err := json.Unmarshal(params, &spec); err != nil {
 		return rpcmr.Job{}, fmt.Errorf("skyjob: bad params: %w", err)
 	}
-	if spec.framed() {
-		kernel := skyline.BlockByAlgorithm(spec.Kernel)
-		return rpcmr.Job{
-			FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-				p, err := points.Decode(rec)
-				if err != nil {
-					return err
-				}
-				emit(0, p) // paper line 13: output(null, si) — one global partition
-				return nil
-			}),
-			FrameCombiner: func(partition int, blk *points.Block) (*points.Block, error) {
-				return kernel(blk), nil
-			},
-			FrameReducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-				sky := skyline.ParallelBlock(context.Background(), blk, 0)
-				for i := 0; i < sky.Len(); i++ {
-					emit(partition, sky.Row(i))
-				}
-				return nil
-			}),
-			FrameFolder: spec.folder(),
-			Codec:       spec.Codec,
-		}, nil
-	}
+	kernel := skyline.BlockByAlgorithm(spec.Kernel)
 	return rpcmr.Job{
-		Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-			emit("global", rec)
-			return nil
+		FrameMapper:   globalMapper,
+		FrameCombiner: mapreduce.KernelCombiner(kernel),
+		// The single global reduce runs the parallel merge tree.
+		FrameReducer: mapreduce.KernelReducer(func(blk *points.Block) *points.Block {
+			return skyline.ParallelBlock(context.Background(), blk, 0)
 		}),
-		Combiner: spec.localReducer(),
-		Reducer:  spec.mergeReducer(),
+		FrameFolder: spec.folder(),
+		Codec:       spec.Codec,
 	}, nil
+}
+
+// encodeRows encodes every row of a job's output blocks as one input
+// record, in ascending partition order.
+func encodeRows(blocks map[int]*points.Block) [][]byte {
+	ids := make([]int, 0, len(blocks))
+	for id := range blocks {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var out [][]byte
+	for _, id := range ids {
+		blk := blocks[id]
+		for i := 0; i < blk.Len(); i++ {
+			out = append(out, points.Encode(points.Point(blk.Row(i))))
+		}
+	}
+	return out
 }
 
 // Result is the outcome of a distributed skyline computation.
@@ -342,10 +226,7 @@ func (r *Result) Optimality() float64 {
 // Compute runs the two-job skyline pipeline on a live rpcmr cluster.
 // With a tracer in ctx it records a root span with Partitioning/Merging
 // children; with a registry on the master it publishes per-partition
-// local skyline sizes alongside the cluster's own series. The default
-// spec routes both jobs through the block-framed shuffle; use
-// ComputeSpec with Spec.ClassicShuffle (or ClassicKernel) to force the
-// per-WirePair transport.
+// local skyline sizes alongside the cluster's own series.
 func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme partition.Scheme, partitions, reducers int) (*Result, error) {
 	spec, err := SpecFor(data, scheme, partitions)
 	if err != nil {
@@ -355,8 +236,7 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 }
 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
-// point for escape hatches (ClassicKernel, ClassicShuffle) and custom
-// kernels.
+// point for custom kernels, codecs and reducer budgets.
 func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, reducers int) (*Result, error) {
 	params, err := json.Marshal(spec)
 	if err != nil {
@@ -397,47 +277,21 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: partitioning job: %w", err)
 	}
-	local := make(map[int]points.Set)
-	var mergeInput [][]byte
-	if res1.Blocks != nil {
-		// Frame path: local skylines arrive as per-partition blocks; feed
-		// the merge job their rows in ascending partition order.
-		ids := make([]int, 0, len(res1.Blocks))
-		for id := range res1.Blocks {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			blk := res1.Blocks[id]
-			local[id] = blk.ToSet()
-			for i := 0; i < blk.Len(); i++ {
-				mergeInput = append(mergeInput, points.Encode(points.Point(blk.Row(i))))
-			}
-		}
-	} else {
-		mergeInput = make([][]byte, 0, len(res1.Pairs))
-		for _, pair := range res1.Pairs {
-			id, err := strconv.Atoi(pair.Key)
-			if err != nil {
-				return nil, fmt.Errorf("skyjob: bad partition key %q", pair.Key)
-			}
-			p, err := points.Decode(pair.Value)
-			if err != nil {
-				return nil, err
-			}
-			local[id] = append(local[id], p)
-			mergeInput = append(mergeInput, pair.Value)
-		}
+	// Local skylines arrive as per-partition blocks; feed the merge job
+	// their rows in ascending partition order.
+	local := make(map[int]points.Set, len(res1.Blocks))
+	for id, blk := range res1.Blocks {
+		local[id] = blk.ToSet()
 	}
+	mergeInput := encodeRows(res1.Blocks)
 	if reg := master.Metrics(); reg != nil {
 		for id, ls := range local {
 			reg.Gauge("skyline_partition_local_size",
 				telemetry.L("partition", strconv.Itoa(id))).Set(float64(len(ls)))
 		}
 	}
-	// Partition job evidence: shuffle volume per partition (frame path
-	// reports it; the classic transport has no per-partition volume) and
-	// local skyline sizes.
+	// Partition job evidence: shuffle volume per partition and local
+	// skyline sizes.
 	for id, ps := range res1.Partitions {
 		rec.AddPartitionShuffle(id, ps.Records, ps.Bytes)
 	}
@@ -454,19 +308,8 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 		return nil, fmt.Errorf("skyjob: merging job: %w", err)
 	}
 	var sky points.Set
-	if res2.Blocks != nil {
-		if blk := res2.Blocks[0]; blk != nil {
-			sky = blk.ToSet()
-		}
-	} else {
-		sky = make(points.Set, 0, len(res2.Pairs))
-		for _, pair := range res2.Pairs {
-			p, err := points.Decode(pair.Value)
-			if err != nil {
-				return nil, err
-			}
-			sky = append(sky, p)
-		}
+	if blk := res2.Blocks[0]; blk != nil {
+		sky = blk.ToSet()
 	}
 	if reg := master.Metrics(); reg != nil {
 		reg.Gauge("skyline_global_size").Set(float64(len(sky)))

@@ -5,9 +5,9 @@ package skyline
 // loop in the repository — the pairwise dominance test — runs over one
 // contiguous []float64 with a dimension-specialized comparison selected
 // once per block rather than a generic length-checked loop per pair. The
-// classic points.Set kernels remain as the escape hatch
-// (driver.Options.ClassicKernel) and as the reference implementation; both
-// paths produce identical skylines on finite, uniform-dimensional input.
+// classic points.Set kernels remain as the reference implementation and
+// the test oracles; both produce identical skylines on finite,
+// uniform-dimensional input.
 
 import (
 	"sort"
@@ -344,14 +344,20 @@ func BlockByAlgorithm(a Algorithm) BlockFunc {
 	case SFSAlgorithm:
 		return BlockSFS
 	default:
-		classic := ByAlgorithm(a)
-		return func(b *points.Block) *points.Block {
-			out, ok := points.BlockOf(classic(b.ToSet()))
-			if !ok {
-				panic("skyline: classic kernel produced mixed-dimension set")
-			}
-			return out
+		return BlockFuncOf(ByAlgorithm(a))
+	}
+}
+
+// BlockFuncOf adapts a Set-typed kernel to the block signature through a
+// Set round-trip, so any skyline function (an R-tree BBS, say) can run
+// inside the block reducers.
+func BlockFuncOf(f Func) BlockFunc {
+	return func(b *points.Block) *points.Block {
+		out, ok := points.BlockOf(f(b.ToSet()))
+		if !ok {
+			panic("skyline: kernel produced mixed-dimension set")
 		}
+		return out
 	}
 }
 
@@ -375,9 +381,8 @@ func FlatBNL(s points.Set) points.Set { return flatten(s, BlockBNL, BNL) }
 func FlatSFS(s points.Set) points.Set { return flatten(s, BlockSFS, SFS) }
 
 // ByAlgorithmFlat returns the flat-memory kernel for a where one exists
-// (BNL, SFS), the classic kernel otherwise. This is the default selection
-// of the MapReduce drivers; ByAlgorithm remains the ClassicKernel escape
-// hatch.
+// (BNL, SFS), the classic kernel otherwise — the Set-typed kernel the
+// serving index runs over its local skylines.
 func ByAlgorithmFlat(a Algorithm) Func {
 	switch a {
 	case BNLAlgorithm:

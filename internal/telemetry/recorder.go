@@ -27,7 +27,7 @@ type PartitionRecord struct {
 	// phase (pre-combine) — the partition's load in the Figure 8 sense.
 	InputRecords int64 `json:"input_records"`
 	// ShuffleBytes counts the sealed frame payload bytes this partition
-	// contributed to the shuffle (0 on the classic per-pair transport).
+	// contributed to the shuffle (0 when the run reported no shuffle).
 	ShuffleBytes int64 `json:"shuffle_bytes"`
 	// LocalSkyline is the partition's local skyline size (job-1 output).
 	LocalSkyline int `json:"local_skyline"`
@@ -316,8 +316,8 @@ func (r *Recorder) Report() *Report {
 	if n > 0 {
 		rep.Optimality = sum / float64(n)
 	}
-	// Load defaults to input records; classic rpcmr transports report no
-	// per-partition volume, so fall back to local skyline sizes there.
+	// Load defaults to input records; runs that report no per-partition
+	// volume fall back to local skyline sizes.
 	for _, p := range rep.Partitions {
 		if haveInput {
 			loads = append(loads, float64(p.InputRecords))

@@ -122,12 +122,6 @@ type Options struct {
 	Workers int
 	// Kernel selects the sequential skyline algorithm (default BNL).
 	Kernel Kernel
-	// ClassicKernel forces the classic per-point kernels instead of the
-	// default flat-memory block kernels (contiguous coordinates,
-	// dimension-specialized dominance tests, parallel merge tree). Both
-	// paths produce identical skylines; see DESIGN.md "Flat-memory
-	// kernel layer".
-	ClassicKernel bool
 	// DisableCombiner ships raw partitions to reducers instead of
 	// combining local skylines map-side (ablation).
 	DisableCombiner bool
@@ -137,12 +131,13 @@ type Options struct {
 	// SpillDir, when set, spills intermediate MapReduce data to sequence
 	// files under this existing directory instead of the heap.
 	SpillDir string
-	// HierarchicalMerge replaces the single global merge with rounds of
-	// MergeFanIn-way partial merges — the paper's §II iterative
-	// (Twister-style) extension for very large candidate sets.
+	// HierarchicalMerge replaces the single global merge with the
+	// multi-round merge schedule, folding at most MergeFanIn local
+	// skylines per group — the paper's §II iterative (Twister-style)
+	// extension for very large candidate sets.
 	HierarchicalMerge bool
-	// MergeFanIn is the per-round fan-in of the hierarchical merge
-	// (default 8).
+	// MergeFanIn caps the local skylines one hierarchical merge group
+	// folds (default 8).
 	MergeFanIn int
 	// ReducerBudgetBytes caps every reducer's resident candidate window
 	// at this many payload bytes; overflow streams through spill frames
@@ -223,7 +218,6 @@ func Compute(ctx context.Context, data Set, opts Options) (*Result, error) {
 		Partitions:         opts.Partitions,
 		Workers:            opts.Workers,
 		Kernel:             opts.Kernel.algorithm(),
-		ClassicKernel:      opts.ClassicKernel,
 		DisableCombiner:    opts.DisableCombiner,
 		DisableGridPruning: opts.DisableGridPruning,
 		SpillDir:           opts.SpillDir,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/mapreduce"
@@ -15,8 +14,9 @@ import (
 	"repro/internal/qws"
 )
 
-// The shuffle suite isolates the engine's data-movement path: partition
-// assignment, emit, frame sealing, shuffle and reducer-side assembly,
+// The shuffle suite isolates the engine's data-movement path: block
+// reads, partition assignment, emit, frame sealing, shuffle and
+// reducer-side assembly,
 // with an identity reduce so no kernel time dilutes the measurement. The
 // framed row is gated against absolute baselines: the framed row of
 // BENCH_shuffle.json as committed before the per-point Pair engine was
@@ -89,39 +89,26 @@ func shuffleSuite(n, d, nodes, runs int, quick bool, out string) {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
+	// Map tasks read the set in the engine's usual split: a few chunks
+	// per worker.
+	input := mapreduce.SetSource(data, (n+4*nodes-1)/(4*nodes))
 	ctx := context.Background()
 	cfg := mapreduce.Config{Name: "shuffle-bench", Workers: nodes, Reducers: nodes}
-
-	scratch := sync.Pool{New: func() any {
-		p := make(points.Point, 0, d)
-		return &p
-	}}
-	framed := func() (int64, int64) {
-		mapper := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-			buf := scratch.Get().(*points.Point)
-			p, err := points.DecodeInto(*buf, rec)
+	mapper := mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
+		for i := 0; i < blk.Len(); i++ {
+			row := blk.Row(i)
+			id, err := part.Assign(points.Point(row))
 			if err != nil {
 				return err
 			}
-			id, assignErr := part.Assign(p)
-			if assignErr == nil {
-				emit(id, p)
-			}
-			*buf = p[:0]
-			scratch.Put(buf)
-			return assignErr
-		})
-		identity := mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-			for i := 0; i < blk.Len(); i++ {
-				emit(partition, blk.Row(i))
-			}
-			return nil
-		})
-		res, err := mapreduce.RunFrames(ctx, cfg, input, mapper, nil, identity)
+			emit(id, row)
+		}
+		return nil
+	})
+	identity := mapreduce.KernelFolder(func(blk *points.Block) *points.Block { return blk })
+
+	framed := func() (int64, int64) {
+		res, err := mapreduce.Run(ctx, cfg, input, mapper, nil, identity)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate: framed shuffle failed:", err)
 			os.Exit(2)

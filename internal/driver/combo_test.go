@@ -2,8 +2,10 @@ package driver
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/rtree"
@@ -77,5 +79,56 @@ func TestKernelOverrideBBS(t *testing.T) {
 	}
 	if !sameMultiset(got, want) {
 		t.Error("BBS kernel override changed the skyline")
+	}
+}
+
+// TestOverridesHonouredEverywhere: every entry point honours the
+// Options overrides it documents. ComputeSkyband must partition with
+// PartitionerOverride and report its occupancy; ComputeStream's
+// combiner must run KernelOverride.
+func TestOverridesHonouredEverywhere(t *testing.T) {
+	ctx := context.Background()
+	data := uniformSet(104, 1200, 3)
+	hybrid, err := partition.FitAngularRadial(data, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band, stats, err := ComputeSkyband(ctx, data, 2, Options{Scheme: partition.Angular, PartitionerOverride: hybrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := skyline.Skyband(data, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMultiset(band, want) {
+		t.Error("skyband with a partitioner override is not exact")
+	}
+	if stats.Partitions != hybrid.Partitions() {
+		t.Errorf("skyband stats report %d partitions, override has %d", stats.Partitions, hybrid.Partitions())
+	}
+	total := 0
+	for _, c := range stats.PartitionCounts {
+		total += c
+	}
+	if total != len(data) {
+		t.Errorf("skyband PartitionCounts sum to %d, want %d", total, len(data))
+	}
+
+	var calls atomic.Int64
+	counting := func(s points.Set) points.Set {
+		calls.Add(1)
+		return skyline.BNL(s)
+	}
+	got, _, err := ComputeStream(ctx, mapreduce.SetSource(data, 200),
+		Options{Scheme: partition.Angular, Nodes: 2, KernelOverride: counting})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 {
+		t.Error("ComputeStream never ran the KernelOverride")
+	}
+	if !sameMultiset(got, skyline.BNL(data)) {
+		t.Error("ComputeStream with a kernel override is not exact")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mapreduce"
@@ -72,11 +71,11 @@ type Options struct {
 	// encoding wherever it is smaller.
 	Codec points.FrameCodec
 	// ReducerBudgetBytes, when > 0, switches the reducers to the
-	// memory-budgeted streaming fold: frames are folded one at a time into
-	// a bounded skyline window that spills and multi-passes when the local
-	// skyline outgrows it, so reduce memory stays near the budget instead
-	// of scaling with partition size. 0 keeps the assemble-everything
-	// reducers.
+	// memory-budgeted fold: frames are folded one at a time into a bounded
+	// skyline window that spills and multi-passes when the local skyline
+	// outgrows it, so reduce memory stays near the budget instead of
+	// scaling with partition size. 0 keeps the assembling reducers, which
+	// run the kernel over each whole partition.
 	ReducerBudgetBytes int64
 	// HierarchicalMerge enables the paper's §II iterative extension: the
 	// merge runs as the multi-round merge schedule — rounds of partial
@@ -128,6 +127,16 @@ func (o Options) blockKernel() skyline.BlockFunc {
 	return skyline.BlockByAlgorithm(o.Kernel)
 }
 
+// folder returns the reducers' fold: the budgeted fold when
+// ReducerBudgetBytes is set, otherwise kernel over each assembled
+// partition.
+func (o Options) folder(dim int, kernel skyline.BlockFunc) mapreduce.FrameFolder {
+	if o.ReducerBudgetBytes > 0 {
+		return mapreduce.BudgetedFolder(dim, o.ReducerBudgetBytes, o.SpillDir, o.Codec)
+	}
+	return mapreduce.KernelFolder(kernel)
+}
+
 // combiner returns the map-side local-skyline combiner, nil when
 // DisableCombiner ablates it.
 func (o Options) combiner(kernel skyline.BlockFunc) mapreduce.FrameCombiner {
@@ -155,8 +164,8 @@ type Stats struct {
 	// Counters merges both jobs' framework counters.
 	Counters map[string]int64
 	// ReducerPeakBytes is the largest reducer-resident working set any
-	// streaming reduce task or merge-schedule fold reached (0 when
-	// neither ran).
+	// reduce task (its folds' resident bytes plus decode scratch) or
+	// merge-schedule fold reached.
 	ReducerPeakBytes int64
 	// MergePasses is the largest BudgetedFold pass count any fold needed
 	// (>1 means a skyline overflowed its window and multi-passed).
@@ -183,10 +192,10 @@ func (s *Stats) LocalSkylineTotal() int {
 // returns the global skyline plus execution statistics. The input set must
 // be non-empty, uniform-dimensional and finite.
 //
-// Points travel between phases as packed frames keyed by integer
-// partition id; the local-skyline combiner runs directly on each
-// assembled block before its frame is sealed, and reducers ingest whole
-// frames into contiguous blocks.
+// Map tasks read the input as blocks of consecutive rows; points travel
+// between phases as packed frames keyed by integer partition id; the
+// local-skyline combiner runs directly on each block before its frame is
+// sealed, and reducers fold whole frames.
 func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *Stats, error) {
 	if err := data.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("driver: %w", err)
@@ -197,20 +206,11 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 		telemetry.A("points", len(data)))
 	defer rootSpan.End()
 
-	part := opts.PartitionerOverride
-	if part == nil {
-		var err error
-		part, err = partition.New(opts.Scheme, data, opts.Partitions)
-		if err != nil {
-			return nil, nil, err
-		}
+	part, err := opts.partitioner(data)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	stats := &Stats{
-		Scheme:        opts.Scheme,
-		Partitions:    part.Partitions(),
-		LocalSkylines: make(map[int]points.Set),
-	}
+	stats := newStats(opts, part)
 
 	// MR-Grid dominance pruning needs cell occupancy, which is known after
 	// assignment; we take a pre-pass over the data (the same O(n) assigns
@@ -235,83 +235,15 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 		}
 	}
 
-	// The dominance-test delta of the whole computation is bridged into
-	// the registry on every exit path.
+	defer bridgeDominanceTests(opts.Metrics)()
 	blockKernel := opts.blockKernel()
-	if reg := opts.Metrics; reg != nil {
-		domBefore := skyline.DominanceTests()
-		defer func() {
-			reg.Counter("skyline_dominance_tests_total").Add(skyline.DominanceTests() - domBefore)
-		}()
-	}
 
 	// ---- Job 1: Partitioning Job ------------------------------------
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
-
-	// Occupancy is counted here in the mapper (atomically — map tasks run
-	// concurrently) rather than by a second full Assign pass after the
-	// job: the angular transform per point is the pipeline's single
-	// largest cost. The pooled scratch removes the per-record Decode
-	// allocation (the decoded point lives only for one Assign).
-	occCounts := make([]int64, part.Partitions())
-	scratch := sync.Pool{New: func() any {
-		p := make(points.Point, 0, data.Dim())
-		return &p
-	}}
-	mapper := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-		buf := scratch.Get().(*points.Point)
-		p, err := points.DecodeInto(*buf, rec)
-		if err != nil {
-			return err
-		}
-		id, assignErr := part.Assign(p)
-		if assignErr == nil {
-			atomic.AddInt64(&occCounts[id], 1)
-			if pruned == nil || !pruned[id] {
-				// emit copies the coordinates into the partition's block
-				// immediately, so the scratch point can be recycled.
-				emit(id, p)
-			}
-		}
-		*buf = p[:0]
-		scratch.Put(buf)
-		return assignErr
-	})
-	cfg1 := mapreduce.Config{
-		Name:               fmt.Sprintf("%s-partitioning", opts.Scheme),
-		Workers:            opts.Workers,
-		Reducers:           opts.Workers,
-		SpillDir:           opts.SpillDir,
-		Metrics:            opts.Metrics,
-		Trace:              traceSink(ctx),
-		Codec:              opts.Codec,
-		ReducerBudgetBytes: opts.ReducerBudgetBytes,
-	}
-	res1, err := runSkylineJob(ctx, cfg1, input, mapper, opts.combiner(blockKernel),
-		mapreduce.KernelReducer(blockKernel), data.Dim(), opts)
+	res1, err := partitionJob(ctx, fmt.Sprintf("%s-partitioning", opts.Scheme), opts.source(data),
+		part, pruned, opts.combiner(blockKernel), opts.folder(data.Dim(), blockKernel), opts, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.ReducerPeakBytes = res1.ReducerPeakBytes
-	stats.MergePasses = res1.MergePasses
-	for id, blk := range res1.Blocks {
-		if id < 0 || id >= part.Partitions() {
-			return nil, nil, fmt.Errorf("driver: bad partition id %d in frame output", id)
-		}
-		stats.LocalSkylines[id] = blk.ToSet()
-	}
-	counts := make([]int, len(occCounts))
-	for id := range occCounts {
-		counts[id] = int(atomic.LoadInt64(&occCounts[id]))
-	}
-	stats.PartitionCounts = counts
-	publishPartitionGauges(opts.Metrics, stats)
-	stats.PartitionJob = res1.Timing
-	stats.Timing = res1.Timing
-	stats.Counters = res1.Counters.Snapshot()
 
 	// ---- Job 2: Merging Job -----------------------------------------
 	var global points.Set
@@ -326,7 +258,16 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 		}
 		global, err = mergeBlocks(ctx, res1.Blocks, data.Dim(), budget, fanIn, opts, stats)
 	} else {
-		global, err = mergeJob(ctx, res1.Blocks, data.Dim(), blockKernel, opts, stats)
+		// The single global reduce runs the parallel merge tree (or the
+		// override kernel) over the candidate union.
+		mergeKernel := blockKernel
+		if opts.KernelOverride == nil {
+			mergeKernel = func(blk *points.Block) *points.Block {
+				return skyline.ParallelBlock(ctx, blk, opts.Workers)
+			}
+		}
+		global, err = mergeJob(ctx, fmt.Sprintf("%s-merging", opts.Scheme),
+			opts.combiner(blockKernel), opts.folder(data.Dim(), mergeKernel), opts, stats)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -338,52 +279,136 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 	return global, stats, nil
 }
 
-// mergeJob is the paper's Merging Job: every local skyline point goes to
-// one global partition, map tasks pre-merge their share with the
-// combiner, and the single reduce runs the parallel merge tree (or the
-// override kernel) over the candidate union. Its timing, counters and
-// fold peaks accumulate into stats.
-func mergeJob(ctx context.Context, locals map[int]*points.Block, dim int, blockKernel skyline.BlockFunc, opts Options, stats *Stats) (points.Set, error) {
-	var mergeInput [][]byte
-	for _, id := range sortedBlockIDs(locals) {
-		blk := locals[id]
-		for i := 0; i < blk.Len(); i++ {
-			mergeInput = append(mergeInput, points.Encode(points.Point(blk.Row(i))))
-		}
+// partitioner resolves the computation's partitioner: the override when
+// given, otherwise opts.Scheme fitted to sample.
+func (o Options) partitioner(sample points.Set) (partition.Partitioner, error) {
+	if o.PartitionerOverride != nil {
+		return o.PartitionerOverride, nil
 	}
-	scratch := sync.Pool{New: func() any {
-		p := make(points.Point, 0, dim)
-		return &p
-	}}
-	identity := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-		buf := scratch.Get().(*points.Point)
-		p, err := points.DecodeInto(*buf, rec)
-		if err != nil {
-			return err
+	return partition.New(o.Scheme, sample, o.Partitions)
+}
+
+// source serves an in-memory set as the engine's input: consecutive
+// ranges of ceil(n / (4 × Workers)) rows, so each worker sees a few map
+// tasks.
+func (o Options) source(rows points.Set) mapreduce.ChunkSource {
+	return mapreduce.SetSource(rows, (len(rows)+4*o.Workers-1)/(4*o.Workers))
+}
+
+// jobConfig is the engine configuration both jobs of a computation share.
+func (o Options) jobConfig(ctx context.Context, name string, reducers int) mapreduce.Config {
+	return mapreduce.Config{
+		Name:     name,
+		Workers:  o.Workers,
+		Reducers: reducers,
+		SpillDir: o.SpillDir,
+		Metrics:  o.Metrics,
+		Trace:    traceSink(ctx),
+		Codec:    o.Codec,
+	}
+}
+
+func newStats(opts Options, part partition.Partitioner) *Stats {
+	return &Stats{
+		Scheme:        opts.Scheme,
+		Partitions:    part.Partitions(),
+		LocalSkylines: make(map[int]points.Set),
+	}
+}
+
+// bridgeDominanceTests starts counting dominance tests for the
+// registry; the returned func books the delta (a no-op without a
+// registry). Deferred, it covers every exit path.
+func bridgeDominanceTests(reg *telemetry.Registry) func() {
+	if reg == nil {
+		return func() {}
+	}
+	before := skyline.DominanceTests()
+	return func() {
+		reg.Counter("skyline_dominance_tests_total").Add(skyline.DominanceTests() - before)
+	}
+}
+
+// partitionMapper is the Partitioning Job's mapper: each row goes to its
+// partition, except rows of pruned cells, which are dropped at the
+// source. Occupancy (pruned cells included) is tallied per block and
+// added to counts atomically — map tasks run concurrently — rather than
+// by a second Assign pass after the job: the angular transform per point
+// is the pipeline's single largest cost.
+func partitionMapper(part partition.Partitioner, pruned []bool, counts []int64) mapreduce.BlockMapper {
+	return mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
+		local := make([]int64, len(counts))
+		defer func() {
+			for id, c := range local {
+				if c > 0 {
+					atomic.AddInt64(&counts[id], c)
+				}
+			}
+		}()
+		for i := 0; i < blk.Len(); i++ {
+			row := blk.Row(i)
+			id, err := part.Assign(points.Point(row))
+			if err != nil {
+				return err
+			}
+			local[id]++
+			if pruned == nil || !pruned[id] {
+				emit(id, row)
+			}
 		}
-		emit(0, p) // paper line 13: output(null, si) — one global partition
-		*buf = p[:0]
-		scratch.Put(buf)
 		return nil
 	})
-	cfg := mapreduce.Config{
-		Name:               fmt.Sprintf("%s-merging", opts.Scheme),
-		Workers:            opts.Workers,
-		Reducers:           1, // all local skylines share one partition (paper line 12-15)
-		SpillDir:           opts.SpillDir,
-		Metrics:            opts.Metrics,
-		Trace:              traceSink(ctx),
-		Codec:              opts.Codec,
-		ReducerBudgetBytes: opts.ReducerBudgetBytes,
+}
+
+// partitionJob runs the Partitioning Job every entry point shares: src's
+// rows are routed by partitionMapper, combined map-side by combiner (nil
+// for none) and folded per partition by folder. The local skylines,
+// occupancy, fold peaks, timing and counters land in stats.
+func partitionJob(ctx context.Context, name string, src mapreduce.ChunkSource, part partition.Partitioner, pruned []bool, combiner mapreduce.FrameCombiner, folder mapreduce.FrameFolder, opts Options, stats *Stats) (*mapreduce.FrameResult, error) {
+	counts := make([]int64, part.Partitions())
+	res, err := mapreduce.Run(ctx, opts.jobConfig(ctx, name, opts.Workers), src,
+		partitionMapper(part, pruned, counts), combiner, folder)
+	if err != nil {
+		return nil, err
 	}
-	mergeKernel := blockKernel
-	if opts.KernelOverride == nil {
-		mergeKernel = func(blk *points.Block) *points.Block {
-			return skyline.ParallelBlock(ctx, blk, opts.Workers)
+	for id, blk := range res.Blocks {
+		if id < 0 || id >= part.Partitions() {
+			return nil, fmt.Errorf("driver: bad partition id %d in frame output", id)
 		}
+		stats.LocalSkylines[id] = blk.ToSet()
 	}
-	res, err := runSkylineJob(ctx, cfg, mergeInput, identity, opts.combiner(blockKernel),
-		mapreduce.KernelReducer(mergeKernel), dim, opts)
+	stats.PartitionCounts = make([]int, len(counts))
+	for id, c := range counts {
+		stats.PartitionCounts[id] = int(c)
+	}
+	stats.ReducerPeakBytes = res.ReducerPeakBytes
+	stats.MergePasses = res.MergePasses
+	stats.PartitionJob = res.Timing
+	stats.Timing = res.Timing
+	stats.Counters = res.Counters.Snapshot()
+	publishPartitionGauges(opts.Metrics, stats)
+	return res, nil
+}
+
+// mergeJob is the paper's Merging Job: every local skyline point, read in
+// ascending partition order with the input's split, goes to one global
+// partition; map tasks pre-merge their share with combiner (nil for
+// none) and the single reduce folds the candidate union with folder. Its
+// timing, counters and fold peaks accumulate into stats.
+func mergeJob(ctx context.Context, name string, combiner mapreduce.FrameCombiner, folder mapreduce.FrameFolder, opts Options, stats *Stats) (points.Set, error) {
+	var candidates points.Set
+	for _, id := range sortedIDs(stats.LocalSkylines) {
+		candidates = append(candidates, stats.LocalSkylines[id]...)
+	}
+	global := mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
+		for i := 0; i < blk.Len(); i++ {
+			emit(0, blk.Row(i)) // paper line 13: output(null, si) — one global partition
+		}
+		return nil
+	})
+	// All local skylines share one partition (paper lines 12-15).
+	res, err := mapreduce.Run(ctx, opts.jobConfig(ctx, name, 1), opts.source(candidates),
+		global, combiner, folder)
 	if err != nil {
 		return nil, err
 	}
@@ -394,28 +419,17 @@ func mergeJob(ctx context.Context, locals map[int]*points.Block, dim int, blockK
 	for k, v := range res.Counters.Snapshot() {
 		stats.Counters[k] += v
 	}
-	var global points.Set
+	var out points.Set
 	if blk := res.Blocks[0]; blk != nil {
-		global = blk.ToSet()
+		out = blk.ToSet()
 	}
-	return global, nil
+	return out, nil
 }
 
-// runSkylineJob runs one skyline job: with a reducer budget the reduce
-// side streams frames through budgeted folds, otherwise each partition
-// is assembled and handed to reducer.
-func runSkylineJob(ctx context.Context, cfg mapreduce.Config, input [][]byte, mapper mapreduce.FrameMapper, combiner mapreduce.FrameCombiner, reducer mapreduce.FrameReducer, dim int, opts Options) (*mapreduce.FrameResult, error) {
-	if opts.ReducerBudgetBytes > 0 {
-		return mapreduce.RunFramesFold(ctx, cfg, input, mapper, combiner,
-			mapreduce.BudgetedFolder(dim, opts.ReducerBudgetBytes, opts.SpillDir, opts.Codec))
-	}
-	return mapreduce.RunFrames(ctx, cfg, input, mapper, combiner, reducer)
-}
-
-// sortedBlockIDs returns a frame result's partition ids ascending.
-func sortedBlockIDs(blocks map[int]*points.Block) []int {
-	ids := make([]int, 0, len(blocks))
-	for id := range blocks {
+// sortedIDs returns a partition map's ids ascending.
+func sortedIDs[V any](m map[int]V) []int {
+	ids := make([]int, 0, len(m))
+	for id := range m {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)

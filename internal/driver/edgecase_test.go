@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/rtree"
@@ -55,7 +56,8 @@ func edgeSchemes(d int) []partition.Scheme {
 	return []partition.Scheme{partition.Dimensional, partition.Grid, partition.Angular}
 }
 
-// TestEdgeCaseOracleTable runs every Compute variant, the skyband for
+// TestEdgeCaseOracleTable runs every Compute variant, ComputeStream over
+// an in-memory chunk source (several chunks, and one), the skyband for
 // k = 1..3 and the KernelOverride BBS path over the edge inputs, against
 // skyline.Naive and skyline.Skyband as sorted multisets.
 func TestEdgeCaseOracleTable(t *testing.T) {
@@ -96,6 +98,17 @@ func TestEdgeCaseOracleTable(t *testing.T) {
 				}
 				if !sameMultiset(got, want) {
 					t.Errorf("%s: %d points, Naive oracle %d", name, len(got), len(want))
+				}
+			}
+			for _, split := range []int{(len(in.data) + 3) / 4, 0} {
+				src := mapreduce.SetSource(in.data, split)
+				got, _, err := ComputeStream(ctx, src, Options{Scheme: scheme, Nodes: 2})
+				if err != nil {
+					t.Fatalf("%s/%v/stream-%d-chunks: %v", in.name, scheme, src.Chunks(), err)
+				}
+				if !sameMultiset(got, want) {
+					t.Errorf("%s/%v/stream-%d-chunks: %d points, Naive oracle %d",
+						in.name, scheme, src.Chunks(), len(got), len(want))
 				}
 			}
 			for k := 1; k <= 3; k++ {

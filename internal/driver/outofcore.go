@@ -3,11 +3,9 @@ package driver
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mapreduce"
-	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/skyline"
 	"repro/internal/telemetry"
@@ -62,76 +60,21 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		telemetry.A("budget_bytes", budget))
 	defer rootSpan.End()
 
-	part := opts.PartitionerOverride
-	if part == nil {
-		var err error
-		part, err = partition.New(opts.Scheme, sample.ToSet(), opts.Partitions)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	sample = nil
-
-	stats := &Stats{
-		Scheme:        opts.Scheme,
-		Partitions:    part.Partitions(),
-		LocalSkylines: make(map[int]points.Set),
-	}
-	blockKernel := skyline.BlockByAlgorithm(opts.Kernel)
-	if reg := opts.Metrics; reg != nil {
-		domBefore := skyline.DominanceTests()
-		defer func() {
-			reg.Counter("skyline_dominance_tests_total").Add(skyline.DominanceTests() - domBefore)
-		}()
-	}
-
-	// ---- Job 1: Partitioning Job (chunked) ---------------------------
-	occCounts := make([]int64, part.Partitions())
-	mapper := mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
-		for i := 0; i < blk.Len(); i++ {
-			row := blk.Row(i)
-			id, err := part.Assign(points.Point(row))
-			if err != nil {
-				return err
-			}
-			atomic.AddInt64(&occCounts[id], 1)
-			emit(id, row)
-		}
-		return nil
-	})
-	cfg := mapreduce.Config{
-		Name:               fmt.Sprintf("%s-partitioning-stream", opts.Scheme),
-		Workers:            opts.Workers,
-		Reducers:           opts.Workers,
-		SpillDir:           opts.SpillDir,
-		Metrics:            opts.Metrics,
-		Trace:              traceSink(ctx),
-		Codec:              opts.Codec,
-		ReducerBudgetBytes: budget,
-	}
-	res, err := mapreduce.RunFramesChunked(ctx, cfg, src, mapper, opts.combiner(blockKernel),
-		mapreduce.BudgetedFolder(dim, budget, opts.SpillDir, opts.Codec))
+	part, err := opts.partitioner(sample.ToSet())
 	if err != nil {
 		return nil, nil, err
 	}
-	for id, blk := range res.Blocks {
-		if id < 0 || id >= part.Partitions() {
-			return nil, nil, fmt.Errorf("driver: bad partition id %d in frame output", id)
-		}
-		stats.LocalSkylines[id] = blk.ToSet()
-	}
-	counts := make([]int, len(occCounts))
-	for id := range occCounts {
-		counts[id] = int(atomic.LoadInt64(&occCounts[id]))
-	}
-	stats.PartitionCounts = counts
-	stats.ReducerPeakBytes = res.ReducerPeakBytes
-	stats.MergePasses = res.MergePasses
-	publishPartitionGauges(opts.Metrics, stats)
+	sample = nil
+	stats := newStats(opts, part)
+	defer bridgeDominanceTests(opts.Metrics)()
 
-	stats.PartitionJob = res.Timing
-	stats.Timing = res.Timing
-	stats.Counters = res.Counters.Snapshot()
+	// ---- Job 1: Partitioning Job (chunked) ---------------------------
+	res, err := partitionJob(ctx, fmt.Sprintf("%s-partitioning-stream", opts.Scheme), src, part, nil,
+		opts.combiner(opts.blockKernel()), mapreduce.BudgetedFolder(dim, budget, opts.SpillDir, opts.Codec),
+		opts, stats)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// ---- Job 2: multi-round budgeted merge schedule ------------------
 	global, err := mergeBlocks(ctx, res.Blocks, dim, budget, 0, opts, stats)
@@ -150,7 +93,7 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 // "merge-schedule" span.
 func mergeBlocks(ctx context.Context, locals map[int]*points.Block, dim int, budget int64, fanIn int, opts Options, stats *Stats) (points.Set, error) {
 	candidates := make([]*points.Block, 0, len(locals))
-	for _, id := range sortedBlockIDs(locals) {
+	for _, id := range sortedIDs(locals) {
 		candidates = append(candidates, locals[id])
 	}
 	ctx, span := telemetry.StartSpan(ctx, "merge-schedule")

@@ -17,25 +17,14 @@ import (
 // between phases. Mappers emit (integer partition, coords) into pooled
 // per-reducer frame builders — no string keys, no per-point allocation —
 // combiners run directly on the assembled blocks before a frame is
-// sealed, and reducers ingest whole frames into contiguous blocks with
+// sealed, and reducers decode whole frames into contiguous blocks with
 // zero per-point allocation.
 
 // EmitPoint is the frame-path emit callback: it appends one point to the
 // partition's building block, copying coords immediately, so callers may
-// reuse the slice. Valid only for the duration of the Map/Reduce call.
+// reuse the slice. Valid only for the duration of the MapBlock or Finish
+// call.
 type EmitPoint func(partition int, coords []float64)
-
-// FrameMapper transforms one input record into zero or more
-// (partition, point) emissions. Must be safe for concurrent use.
-type FrameMapper interface {
-	MapFrame(record []byte, emit EmitPoint) error
-}
-
-// FrameMapperFunc adapts a function to the FrameMapper interface.
-type FrameMapperFunc func(record []byte, emit EmitPoint) error
-
-// MapFrame implements FrameMapper.
-func (f FrameMapperFunc) MapFrame(record []byte, emit EmitPoint) error { return f(record, emit) }
 
 // FrameCombiner folds one partition's assembled block map-side, before
 // the frame is sealed — the paper's local-skyline combiner running
@@ -43,20 +32,6 @@ func (f FrameMapperFunc) MapFrame(record []byte, emit EmitPoint) error { return 
 // not) or a fresh block; the engine treats the input block as consumed.
 // Must be safe for concurrent use.
 type FrameCombiner func(partition int, block *points.Block) (*points.Block, error)
-
-// FrameReducer folds one partition's fully assembled block into zero or
-// more output points. Must be safe for concurrent use.
-type FrameReducer interface {
-	ReduceFrame(partition int, block *points.Block, emit EmitPoint) error
-}
-
-// FrameReducerFunc adapts a function to the FrameReducer interface.
-type FrameReducerFunc func(partition int, block *points.Block, emit EmitPoint) error
-
-// ReduceFrame implements FrameReducer.
-func (f FrameReducerFunc) ReduceFrame(partition int, block *points.Block, emit EmitPoint) error {
-	return f(partition, block, emit)
-}
 
 // PartStat tallies one partition's shuffle contribution: Records is the
 // map-output point count routed to the partition (pre-combine — the
@@ -81,9 +56,9 @@ type FrameStats struct {
 	Groups       int64
 	ReduceIn     int64
 	ReduceOut    int64
-	// PeakBytes is the task's streaming-reduce working-set high-water
-	// mark (folds + decode scratch); 0 on the assemble-everything path.
-	// Aggregation takes the max, not the sum — it is a per-task peak.
+	// PeakBytes is the reduce task's working-set high-water mark (its
+	// folds' resident bytes plus decode scratch). Aggregation takes the
+	// max, not the sum — it is a per-task peak.
 	PeakBytes int64
 	// Passes counts multi-pass fold resolutions (max across folds); 1
 	// means everything fit the window.
@@ -134,9 +109,9 @@ type FrameResult struct {
 	// Partitions breaks the map-side shuffle volume down by data-space
 	// partition id, for the flight recorder's skew picture.
 	Partitions map[int]PartStat
-	// ReducerPeakBytes is the largest streaming-reduce working set any
-	// reduce task reached (0 on the assemble-everything path) — the
-	// number the ReducerBudgetBytes budget is judged against.
+	// ReducerPeakBytes is the largest working set any reduce task reached
+	// (its folds' resident bytes plus decode scratch) — the number a
+	// budgeted folder's budget is judged against.
 	ReducerPeakBytes int64
 	// MergePasses is the largest fold pass count any reduce task needed
 	// (1 = single pass; >1 means a local skyline overflowed its window).
@@ -151,9 +126,12 @@ type FrameResult struct {
 // seals it into immutable frame streams, and returns it, so steady-state
 // mapping allocates nothing per point.
 type frameBuilder struct {
-	blocks  []*points.Block // indexed by partition id; nil until touched
-	touched []int           // partition ids with at least one emission
-	err     error           // sticky emit-side error (negative partition)
+	blocks []*points.Block // indexed by partition id; nil until touched
+	// combined holds the combiner's output per partition (nil: seal the
+	// block itself), kept apart so the pooled blocks keep their capacity.
+	combined []*points.Block
+	touched  []int // partition ids with at least one emission
+	err      error // sticky emit-side error (negative partition)
 }
 
 var frameBuilderPool = sync.Pool{New: func() any { return new(frameBuilder) }}
@@ -185,6 +163,9 @@ func (fb *frameBuilder) reset() {
 		if fb.blocks[p] != nil {
 			fb.blocks[p].Clear()
 		}
+		if p < len(fb.combined) {
+			fb.combined[p] = nil
+		}
 	}
 	fb.touched = fb.touched[:0]
 	fb.err = nil
@@ -200,6 +181,9 @@ func (fb *frameBuilder) seal(reducers int, parts map[int]PartStat, codec points.
 	sort.Ints(fb.touched)
 	for _, p := range fb.touched {
 		blk := fb.blocks[p]
+		if p < len(fb.combined) && fb.combined[p] != nil {
+			blk = fb.combined[p]
+		}
 		if blk == nil || blk.Len() == 0 {
 			continue
 		}
@@ -218,24 +202,19 @@ func (fb *frameBuilder) seal(reducers int, parts map[int]PartStat, codec points.
 	return streams, recs, bytes
 }
 
-// BuildFrames runs the frame mapper (and optional combiner) over one map
-// task's records, returning one sealed frame stream per reducer plus the
-// task's tallies. It is the map-side half of the frame shuffle, shared
-// by the in-process engine and the rpcmr workers so both move identical
+// MapFrames runs the block mapper (and optional combiner) over one map
+// task's input block, returning one sealed frame stream per reducer plus
+// the task's tallies. It is the map half of the frame shuffle, shared by
+// the in-process engine and the rpcmr workers so both move identical
 // bytes. codec picks the sealed frames' wire codec.
-func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+func MapFrames(blk *points.Block, reducers int, mapper BlockMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	fb := frameBuilderPool.Get().(*frameBuilder)
 	defer func() {
 		fb.reset()
 		frameBuilderPool.Put(fb)
 	}()
-	// Hoist the method value: evaluating fb.add in the loop would allocate
-	// one funcval per record.
-	add := fb.add
-	for _, rec := range records {
-		if err := mapper.MapFrame(rec, add); err != nil {
-			return nil, FrameStats{}, err
-		}
+	if err := mapper.MapBlock(blk, fb.add); err != nil {
+		return nil, FrameStats{}, err
 	}
 	return fb.combineAndSeal(reducers, combiner, codec)
 }
@@ -259,6 +238,9 @@ func (fb *frameBuilder) combineAndSeal(reducers int, combiner FrameCombiner, cod
 	}
 	if combiner != nil {
 		cs := time.Now()
+		for len(fb.combined) < len(fb.blocks) {
+			fb.combined = append(fb.combined, nil)
+		}
 		for _, p := range fb.touched {
 			blk := fb.blocks[p]
 			if blk.Len() == 0 {
@@ -269,7 +251,7 @@ func (fb *frameBuilder) combineAndSeal(reducers int, combiner FrameCombiner, cod
 			if err != nil {
 				return nil, st, fmt.Errorf("frame combiner: %w", err)
 			}
-			fb.blocks[p] = out
+			fb.combined[p] = out
 			st.CombineOut += int64(out.Len())
 		}
 		st.CombineNanos = time.Since(cs).Nanoseconds()
@@ -308,40 +290,6 @@ func AssembleFrames(streams [][]byte) (map[int]*points.Block, error) {
 	return parts, nil
 }
 
-// ReduceFrames assembles per-partition blocks from the given frame
-// streams, runs the reducer on each partition in ascending id order, and
-// seals the emitted points back into one output frame stream. Shared by
-// the in-process engine's reduce tasks and the rpcmr workers. codec
-// picks the output frames' wire codec.
-func ReduceFrames(streams [][]byte, reducer FrameReducer, codec points.FrameCodec) ([]byte, FrameStats, error) {
-	var st FrameStats
-	parts, err := AssembleFrames(streams)
-	if err != nil {
-		return nil, st, err
-	}
-	fb := frameBuilderPool.Get().(*frameBuilder)
-	defer func() {
-		fb.reset()
-		frameBuilderPool.Put(fb)
-	}()
-	for _, p := range sortedInts(parts) {
-		blk := parts[p]
-		st.Groups++
-		st.ReduceIn += int64(blk.Len())
-		if err := reducer.ReduceFrame(p, blk, fb.add); err != nil {
-			return nil, st, err
-		}
-	}
-	if fb.err != nil {
-		return nil, st, fb.err
-	}
-	// Seal with a single "reducer" so every output partition lands in one
-	// stream, ascending by partition id.
-	out, recs, _ := fb.seal(1, nil, codec)
-	st.ReduceOut = recs
-	return out[0], st, nil
-}
-
 // ---------------------------------------------------------------------------
 // In-process frame job execution
 
@@ -357,61 +305,11 @@ type frameTaskOutput struct {
 	combineNanos int64
 }
 
-// RunFrames executes a MapReduce job over the input records: split → map
-// → (combine) → shuffle → reduce, with the intermediate data moving as
-// packed frames and each reduce partition assembled into one block for
-// the reducer. It blocks until the job completes, fails, or ctx is
-// cancelled. The shuffle-byte counter reports frame payload bytes
-// (header + coordinates); combiner may be nil.
-func RunFrames(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, reducer FrameReducer) (*FrameResult, error) {
-	if mapper == nil || reducer == nil {
-		return nil, fmt.Errorf("mapreduce: %s: mapper and reducer must be non-nil", cfg.Name)
-	}
-	return runRecordJob(ctx, cfg, input, mapper, combiner, reducer, nil)
-}
-
-// RunFramesFold executes a frame-shuffle job whose reduce side streams:
-// instead of assembling each partition's full block, every reduce task
-// feeds its frames — from memory or spill, one frame at a time — into
-// per-partition folds created by folder, and the folds' finished output
-// becomes the result. Reduce-side memory is bounded by the folds'
-// budgets plus one frame of decode scratch, never by partition size;
-// FrameResult.ReducerPeakBytes reports the observed peak.
-func RunFramesFold(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, folder FrameFolder) (*FrameResult, error) {
-	if mapper == nil || folder == nil {
-		return nil, fmt.Errorf("mapreduce: %s: mapper and folder must be non-nil", cfg.Name)
-	}
-	return runRecordJob(ctx, cfg, input, mapper, combiner, nil, folder)
-}
-
-// runRecordJob splits record input into map tasks of cfg.SplitSize
-// records and runs the job shell over them.
-func runRecordJob(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, reducer FrameReducer, folder FrameFolder) (*FrameResult, error) {
-	cfg = cfg.withDefaults(len(input))
-	var splits [][][]byte
-	for off := 0; off < len(input); off += cfg.SplitSize {
-		splits = append(splits, input[off:min(off+cfg.SplitSize, len(input))])
-	}
-	mapTask := func(task int, counters *Counters) (frameTaskOutput, int, error) {
-		records := splits[task]
-		counters.Add(CounterMapIn, int64(len(records)))
-		streams, st, err := BuildFrames(records, cfg.Reducers, mapper, combiner, cfg.Codec)
-		if err != nil {
-			return frameTaskOutput{}, 0, err
-		}
-		out, err := finishMapTask(cfg, task, streams, st, counters)
-		return out, len(records), err
-	}
-	return runJob(ctx, cfg, len(splits), mapTask, reducer, folder,
-		telemetry.A("records", len(input)), telemetry.A("shuffle", "frames"))
-}
-
-// runJob is the job shell every entry point shares: nTasks map tasks
-// (each run by mapTask, which reports how many input records it read),
-// the bookkeeping-only shuffle, then the reduce tasks — assembling
-// blocks for reducer, or streaming frames through folder's folds when
-// folder is non-nil. cfg must already carry its defaults.
-func runJob(ctx context.Context, cfg Config, nTasks int, mapTask func(task int, counters *Counters) (frameTaskOutput, int, error), reducer FrameReducer, folder FrameFolder, attrs ...telemetry.Attr) (*FrameResult, error) {
+// runJob is the job shell: nTasks map tasks (each run by mapTask, which
+// reports how many input rows it read), the bookkeeping-only shuffle,
+// then the reduce tasks streaming their frames through folder's folds.
+// cfg must already carry its defaults.
+func runJob(ctx context.Context, cfg Config, nTasks int, mapTask func(task int, counters *Counters) (frameTaskOutput, int, error), folder FrameFolder, attrs ...telemetry.Attr) (*FrameResult, error) {
 	counters := NewCounters()
 	start := time.Now()
 	cfg.emit("job-start", "", -1, "")
@@ -477,7 +375,7 @@ func runJob(ctx context.Context, cfg Config, nTasks int, mapTask func(task int, 
 	cfg.emit("phase-start", "reduce", -1, "")
 	redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
 	reduceStart := time.Now()
-	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, reducer, folder, counters)
+	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, folder, counters)
 	reduceSpan.End()
 	if err != nil {
 		return fail(err)
@@ -562,7 +460,7 @@ func finishMapTask(cfg Config, task int, streams [][]byte, st FrameStats, counte
 	return out, nil
 }
 
-func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOutput, reducer FrameReducer, folder FrameFolder, counters *Counters) (map[int]*points.Block, FrameStats, error) {
+func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOutput, folder FrameFolder, counters *Counters) (map[int]*points.Block, FrameStats, error) {
 	outStreams := make([][]byte, cfg.Reducers)
 	var aggMu sync.Mutex
 	var agg FrameStats
@@ -577,14 +475,7 @@ func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOut
 				counters.Add(CounterRedRetries, 1)
 				cfg.emit("task-retry", "reduce", r, lastErr.Error())
 			}
-			var out []byte
-			var st FrameStats
-			var err error
-			if folder != nil {
-				out, st, err = runFrameReduceTaskStream(cfg, r, outputs, folder)
-			} else {
-				out, st, err = runFrameReduceTask(cfg, r, outputs, reducer)
-			}
+			out, st, err := runReduceTask(cfg, r, outputs, folder)
 			if err == nil {
 				outStreams[r] = out
 				counters.Add(CounterGroups, st.Groups)
@@ -619,28 +510,6 @@ func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOut
 		return nil, agg, fmt.Errorf("mapreduce: %s: assembling reduce output: %w", cfg.Name, err)
 	}
 	return blocks, agg, nil
-}
-
-// runFrameReduceTask gathers reducer r's frame streams (memory or spill)
-// in map-task order and folds them.
-func runFrameReduceTask(cfg Config, r int, outputs []frameTaskOutput, reducer FrameReducer) ([]byte, FrameStats, error) {
-	var streams [][]byte
-	for _, out := range outputs {
-		if out.files != nil {
-			if r < len(out.files) && out.files[r] != "" {
-				frames, err := readFrameSpill(out.files[r])
-				if err != nil {
-					return nil, FrameStats{}, fmt.Errorf("mapreduce: %s: reading frame spill: %w", cfg.Name, err)
-				}
-				streams = append(streams, frames...)
-			}
-			continue
-		}
-		if r < len(out.streams) && len(out.streams[r]) > 0 {
-			streams = append(streams, out.streams[r])
-		}
-	}
-	return ReduceFrames(streams, reducer, cfg.Codec)
 }
 
 // removeFrameSpills deletes every spill file of a finished frame job.

@@ -34,22 +34,15 @@ func frameTestData(n, d int, seed int64) points.Set {
 
 // identityFrameJob routes each point to partition coords[0] mod parts and
 // re-emits it unchanged in the reducer — shuffle machinery only.
-func identityFrameJob(parts int) (FrameMapper, FrameReducer) {
-	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
-		}
-		emit(int(p[0])%parts, p)
-		return nil
-	})
-	reducer := FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
+func identityFrameJob(parts int) (BlockMapper, FrameFolder) {
+	mapper := BlockMapperFunc(func(blk *points.Block, emit EmitPoint) error {
 		for i := 0; i < blk.Len(); i++ {
-			emit(partition, blk.Row(i))
+			row := blk.Row(i)
+			emit(int(row[0])%parts, row)
 		}
 		return nil
 	})
-	return mapper, reducer
+	return mapper, KernelFolder(func(blk *points.Block) *points.Block { return blk })
 }
 
 // routeOracle routes data exactly as identityFrameJob does, without the
@@ -61,14 +54,6 @@ func routeOracle(data points.Set, parts int) map[int]points.Set {
 		out[id] = append(out[id], p)
 	}
 	return out
-}
-
-func encodeAll(data points.Set) [][]byte {
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
-	return input
 }
 
 // requireSameBlocks requires identical partitions with identical rows in
@@ -138,7 +123,7 @@ func requireSameSets(t *testing.T, want, got map[int]points.Set) {
 func TestRunFramesMatchesClassic(t *testing.T) {
 	data := frameTestData(2000, 4, 1)
 	const parts, reducers = 7, 3
-	input := encodeAll(data)
+	input := SetSource(data, len(data)/16)
 	mapper, identity := identityFrameJob(parts)
 	routed := routeOracle(data, parts)
 	skylines := make(map[int]points.Set, len(routed))
@@ -154,7 +139,7 @@ func TestRunFramesMatchesClassic(t *testing.T) {
 				dir = t.TempDir()
 			}
 			cfg := Config{Name: "frames", Workers: 4, Reducers: reducers, SpillDir: dir}
-			res, err := RunFrames(context.Background(), cfg, input, mapper, nil, identity)
+			res, err := Run(context.Background(), cfg, input, mapper, nil, identity)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +155,7 @@ func TestRunFramesMatchesClassic(t *testing.T) {
 				t.Errorf("shuffle bytes = %d, want in (%d, %d]", b, coords, coords*2)
 			}
 
-			sky, err := RunFrames(context.Background(), cfg, input, mapper, nil, skylineReducer())
+			sky, err := Run(context.Background(), cfg, input, mapper, nil, skylineFolder())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,11 +176,7 @@ func blockSets(blocks map[int]*points.Block) map[int]points.Set {
 // map-side and shrinks what crosses the shuffle.
 func TestRunFramesCombiner(t *testing.T) {
 	data := frameTestData(1000, 3, 2)
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
-	mapper, reducer := identityFrameJob(4)
+	mapper, folder := identityFrameJob(4)
 	// Combiner keeps only the first point of each block.
 	combiner := func(partition int, blk *points.Block) (*points.Block, error) {
 		if blk.Len() > 1 {
@@ -203,9 +184,9 @@ func TestRunFramesCombiner(t *testing.T) {
 		}
 		return blk, nil
 	}
-	res, err := RunFrames(context.Background(),
-		Config{Name: "comb", Workers: 2, Reducers: 2, SplitSize: 100},
-		input, mapper, combiner, reducer)
+	res, err := Run(context.Background(),
+		Config{Name: "comb", Workers: 2, Reducers: 2},
+		SetSource(data, 100), mapper, combiner, folder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +225,7 @@ func TestFrameSpillByteIdentical(t *testing.T) {
 		if files[1] != "" || files[2] != "" {
 			t.Fatal("empty streams produced files")
 		}
-		frames, err := readFrameSpill(files[0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		frames := readTestFrameSpill(t, files[0])
 		if len(frames) != 2 {
 			t.Fatalf("read %d frames, want 2", len(frames))
 		}
@@ -263,28 +241,28 @@ func TestFrameSpillByteIdentical(t *testing.T) {
 // TestRunFramesErrors covers mapper, combiner and reducer failures plus
 // the negative-partition guard: errors, never panics.
 func TestRunFramesErrors(t *testing.T) {
-	input := [][]byte{points.Encode(points.Point{1, 2})}
-	okMapper, okReducer := identityFrameJob(2)
+	input := SetSource(points.Set{{1, 2}}, 1)
+	okMapper, okFolder := identityFrameJob(2)
 	boom := errors.New("boom")
 
 	cases := []struct {
 		name     string
-		mapper   FrameMapper
+		mapper   BlockMapper
 		combiner FrameCombiner
-		reducer  FrameReducer
+		folder   FrameFolder
 	}{
-		{"mapper", FrameMapperFunc(func(rec []byte, emit EmitPoint) error { return boom }), nil, okReducer},
-		{"combiner", okMapper, func(int, *points.Block) (*points.Block, error) { return nil, boom }, okReducer},
-		{"reducer", okMapper, nil, FrameReducerFunc(func(int, *points.Block, EmitPoint) error { return boom })},
-		{"negative-partition", FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
+		{"mapper", BlockMapperFunc(func(*points.Block, EmitPoint) error { return boom }), nil, okFolder},
+		{"combiner", okMapper, func(int, *points.Block) (*points.Block, error) { return nil, boom }, okFolder},
+		{"reducer", okMapper, nil, func(int) FrameFold { return errFold{boom} }},
+		{"negative-partition", BlockMapperFunc(func(_ *points.Block, emit EmitPoint) error {
 			emit(-1, []float64{1, 2})
 			return nil
-		}), nil, okReducer},
+		}), nil, okFolder},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RunFrames(context.Background(), Config{Name: tc.name},
-				input, tc.mapper, tc.combiner, tc.reducer)
+			_, err := Run(context.Background(), Config{Name: tc.name},
+				input, tc.mapper, tc.combiner, tc.folder)
 			if err == nil {
 				t.Fatal("no error")
 			}
@@ -296,18 +274,11 @@ func TestRunFramesErrors(t *testing.T) {
 // MaxAttempts=2 and books the retry counter.
 func TestRunFramesRetry(t *testing.T) {
 	data := frameTestData(100, 2, 3)
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
 	var failed Counters
 	failed.m = map[string]int64{}
-	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
-		}
-		// Fail the first time any mapper sees the zero-index sentinel.
+	routed, folder := identityFrameJob(3)
+	mapper := BlockMapperFunc(func(blk *points.Block, emit EmitPoint) error {
+		// Fail the first chunk any mapper sees.
 		failed.mu.Lock()
 		first := failed.m["n"] == 0
 		failed.m["n"]++
@@ -315,12 +286,10 @@ func TestRunFramesRetry(t *testing.T) {
 		if first {
 			return errors.New("transient")
 		}
-		emit(int(p[0])%3, p)
-		return nil
+		return routed.MapBlock(blk, emit)
 	})
-	_, reducer := identityFrameJob(3)
-	res, err := RunFrames(context.Background(),
-		Config{Name: "retry", MaxAttempts: 3, SplitSize: 50}, input, mapper, nil, reducer)
+	res, err := Run(context.Background(),
+		Config{Name: "retry", MaxAttempts: 3}, SetSource(data, 50), mapper, nil, folder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +300,7 @@ func TestRunFramesRetry(t *testing.T) {
 	for _, blk := range res.Blocks {
 		total += blk.Len()
 	}
-	// The failed record was re-mapped on retry; every input survives exactly once.
+	// The failed chunk was re-mapped on retry; every input survives exactly once.
 	if total != len(data) {
 		t.Errorf("output %d points, want %d", total, len(data))
 	}
@@ -339,8 +308,8 @@ func TestRunFramesRetry(t *testing.T) {
 
 // TestRunFramesEmptyInput degenerates gracefully.
 func TestRunFramesEmptyInput(t *testing.T) {
-	mapper, reducer := identityFrameJob(2)
-	res, err := RunFrames(context.Background(), Config{Name: "empty"}, nil, mapper, nil, reducer)
+	mapper, folder := identityFrameJob(2)
+	res, err := Run(context.Background(), Config{Name: "empty"}, SetSource(nil, 0), mapper, nil, folder)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,18 +5,18 @@
 //	split → map → (combine) → shuffle → reduce
 //
 // over a pool of worker goroutines ("slave servers"), and the data moving
-// between phases is packed point frames: mappers emit (integer partition,
-// coordinates) into per-reducer blocks, a combiner may fold each block
-// map-side before it is sealed, and reducers take whole frames back into
-// contiguous blocks (RunFrames) or stream them one frame at a time
-// through bounded folds (RunFramesFold, and RunFramesChunked when the
-// input itself arrives as chunks). Every entry point reports per-phase
+// between phases is packed point frames. Run is the one entry point: each
+// map task reads one chunk of the input (a ChunkSource) straight into a
+// block, the mapper emits (integer partition, coordinates) into
+// per-reducer blocks, a combiner may fold each block map-side before it
+// is sealed, and every reducer streams its frames one at a time through
+// per-partition folds (a FrameFolder). The job reports per-phase
 // wall-clock timing (the paper's Figure 6 breakdown) and framework
 // counters, retries failed tasks, can spill sealed frames to disk in the
 // sequencefile format, and honours context cancellation.
 //
-// Input records are opaque byte strings, as in Hadoop streaming; the
-// skyline layer (package driver) provides the point codecs.
+// Input and intermediate data are points all the way: chunks arrive as
+// blocks and cross the shuffle as frames, never as per-point records.
 package mapreduce
 
 import (
@@ -40,9 +40,6 @@ type Config struct {
 	Workers int
 	// Reducers is the number of reduce partitions. Defaults to Workers.
 	Reducers int
-	// SplitSize is the number of input records per map task. Defaults to
-	// ceil(len(input)/ (4*Workers)) so each worker sees a few tasks.
-	SplitSize int
 	// MaxAttempts is how many times a failed map or reduce task is retried
 	// before the job fails. Defaults to 1 (no retry).
 	MaxAttempts int
@@ -59,13 +56,6 @@ type Config struct {
 	// frames. The zero value is the raw v1 codec; points.FrameAuto
 	// enables the bit-packed v2 encoding wherever it is smaller.
 	Codec points.FrameCodec
-	// ReducerBudgetBytes is the working-memory target for one streaming
-	// reduce task (RunFramesFold / RunFramesChunked): the budget handed to
-	// the task's frame folds, and the reference the reported peak is
-	// judged against. 0 means unbudgeted. The engine records the peak —
-	// FrameResult.ReducerPeakBytes — rather than killing tasks, so an
-	// over-budget fold is visible, not fatal.
-	ReducerBudgetBytes int64
 	// Trace, when non-nil, receives job/phase/task lifecycle events.
 	Trace EventSink
 	// Metrics, when non-nil, receives the job's framework counters and
@@ -74,18 +64,12 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-func (c Config) withDefaults(inputLen int) Config {
+func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Reducers <= 0 {
 		c.Reducers = c.Workers
-	}
-	if c.SplitSize <= 0 {
-		c.SplitSize = (inputLen + 4*c.Workers - 1) / (4 * c.Workers)
-		if c.SplitSize < 1 {
-			c.SplitSize = 1
-		}
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 1

@@ -17,8 +17,9 @@ import (
 )
 
 // Word count over frames — the canonical smoke test for any MapReduce
-// engine. Every word of a fixed vocabulary owns one partition; mappers
-// emit a one-dimensional [1] point per word and reducers sum them.
+// engine. Every word of a fixed vocabulary owns one partition; the input
+// serves one row per word holding its vocabulary id, mappers emit a
+// one-dimensional [1] point per row and reducers sum them.
 
 var wcDocs = []string{
 	"the quick brown fox",
@@ -50,20 +51,43 @@ func vocabulary(docs []string) (ids map[string]int, words []string) {
 	return ids, words
 }
 
-// wordMapper emits one [1] point per word, routed to the word's partition.
-func wordMapper(ids map[string]int) FrameMapper {
-	one := []float64{1}
-	return FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		for _, w := range strings.Fields(string(rec)) {
-			id, ok := ids[w]
+// docSource serves split documents per chunk, one 1-dimensional row per
+// word holding the word's vocabulary id.
+type docSource struct {
+	docs  []string
+	ids   map[string]int
+	split int
+}
+
+// docsInput serves docs split documents per chunk.
+func docsInput(docs []string, split int) docSource {
+	ids, _ := vocabulary(docs)
+	return docSource{docs: docs, ids: ids, split: split}
+}
+
+func (s docSource) Chunks() int { return (len(s.docs) + s.split - 1) / s.split }
+
+func (s docSource) ReadChunk(i int, blk *points.Block) error {
+	for _, d := range s.docs[i*s.split : min((i+1)*s.split, len(s.docs))] {
+		for _, w := range strings.Fields(d) {
+			id, ok := s.ids[w]
 			if !ok {
 				return fmt.Errorf("word %q not in vocabulary", w)
 			}
-			emit(id, one)
+			blk.AppendRow([]float64{float64(id)})
 		}
-		return nil
-	})
+	}
+	return nil
 }
+
+// wordMapper emits one [1] point per row, routed to the word's partition.
+var wordMapper = BlockMapperFunc(func(blk *points.Block, emit EmitPoint) error {
+	one := []float64{1}
+	for i := 0; i < blk.Len(); i++ {
+		emit(int(blk.Row(i)[0]), one)
+	}
+	return nil
+})
 
 // columnSum sums a block's first column.
 func columnSum(blk *points.Block) float64 {
@@ -74,32 +98,32 @@ func columnSum(blk *points.Block) float64 {
 	return total
 }
 
-// sumReducer emits one point per partition holding its rows' sum.
-var sumReducer = FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
-	emit(partition, []float64{columnSum(blk)})
-	return nil
-})
-
-// sumCombiner folds a map-side block to its one-row sum.
-func sumCombiner(partition int, blk *points.Block) (*points.Block, error) {
+// sumBlock folds a block to its one-row column sum.
+func sumBlock(blk *points.Block) *points.Block {
 	out := points.NewBlock(1, 1)
 	out.AppendRow([]float64{columnSum(blk)})
-	return out, nil
+	return out
 }
 
-func docsInput(docs []string) [][]byte {
-	input := make([][]byte, len(docs))
-	for i, d := range docs {
-		input[i] = []byte(d)
-	}
-	return input
-}
+// sumFolder emits one point per partition holding its rows' sum;
+// sumCombiner folds each map-side block the same way.
+var (
+	sumFolder   = KernelFolder(sumBlock)
+	sumCombiner = KernelCombiner(sumBlock)
+)
 
-// wordCountJob runs word count over docs and returns word → count.
-func wordCountJob(t *testing.T, cfg Config, docs []string, combiner FrameCombiner) map[string]int {
+// errFold is a fold whose Finish fails with err.
+type errFold struct{ err error }
+
+func (e errFold) Absorb(*points.Block) error { return nil }
+func (e errFold) Finish(EmitPoint) error     { return e.err }
+
+// wordCountJob runs word count over docs, split documents per map task,
+// and returns word → count.
+func wordCountJob(t *testing.T, cfg Config, docs []string, split int, combiner FrameCombiner) map[string]int {
 	t.Helper()
-	ids, words := vocabulary(docs)
-	res, err := RunFrames(context.Background(), cfg, docsInput(docs), wordMapper(ids), combiner, sumReducer)
+	_, words := vocabulary(docs)
+	res, err := Run(context.Background(), cfg, docsInput(docs, split), wordMapper, combiner, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +150,12 @@ func requireWordCounts(t *testing.T, got map[string]int) {
 }
 
 func TestWordCount(t *testing.T) {
-	requireWordCounts(t, wordCountJob(t, Config{Name: "wc", Workers: 4, Reducers: 3, SplitSize: 1}, wcDocs, nil))
+	requireWordCounts(t, wordCountJob(t, Config{Name: "wc", Workers: 4, Reducers: 3}, wcDocs, 1, nil))
 }
 
 func TestWordCountWithCombiner(t *testing.T) {
-	cfg := Config{Name: "wc-comb", Workers: 2, Reducers: 2, SplitSize: 2}
-	requireWordCounts(t, wordCountJob(t, cfg, wcDocs, sumCombiner))
+	cfg := Config{Name: "wc-comb", Workers: 2, Reducers: 2}
+	requireWordCounts(t, wordCountJob(t, cfg, wcDocs, 2, sumCombiner))
 }
 
 func TestCombinerReducesShuffleVolume(t *testing.T) {
@@ -139,13 +163,12 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 	for i := range docs {
 		docs[i] = "same-key"
 	}
-	ids, _ := vocabulary(docs)
-	input := docsInput(docs)
-	noComb, err := RunFrames(context.Background(), Config{Workers: 2, SplitSize: 10}, input, wordMapper(ids), nil, sumReducer)
+	input := docsInput(docs, 10)
+	noComb, err := Run(context.Background(), Config{Workers: 2}, input, wordMapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withComb, err := RunFrames(context.Background(), Config{Workers: 2, SplitSize: 10}, input, wordMapper(ids), sumCombiner, sumReducer)
+	withComb, err := Run(context.Background(), Config{Workers: 2}, input, wordMapper, sumCombiner, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +188,11 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 // order on every run.
 func TestDeterministicOutputAcrossRuns(t *testing.T) {
 	data := frameTestData(200, 3, 5)
-	input := encodeAll(data)
-	mapper, reducer := identityFrameJob(7)
+	input := SetSource(data, 3)
+	mapper, folder := identityFrameJob(7)
 	var ref map[int]*points.Block
 	for trial := 0; trial < 5; trial++ {
-		res, err := RunFrames(context.Background(), Config{Workers: 8, Reducers: 4, SplitSize: 3}, input, mapper, nil, reducer)
+		res, err := Run(context.Background(), Config{Workers: 8, Reducers: 4}, input, mapper, nil, folder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,16 +205,15 @@ func TestDeterministicOutputAcrossRuns(t *testing.T) {
 }
 
 func TestFrameworkCounters(t *testing.T) {
-	cfg := Config{Workers: 2, Reducers: 2, SplitSize: 1}
+	cfg := Config{Workers: 2, Reducers: 2}
 	docs := []string{"a b", "a"}
-	ids, _ := vocabulary(docs)
-	res, err := RunFrames(context.Background(), cfg, docsInput(docs), wordMapper(ids), nil, sumReducer)
+	res, err := Run(context.Background(), cfg, docsInput(docs, 1), wordMapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := res.Counters
-	if got := c.Get(CounterMapIn); got != 2 {
-		t.Errorf("map in = %d, want 2", got)
+	if got := c.Get(CounterMapIn); got != 3 { // input rows: one per word
+		t.Errorf("map in = %d, want 3", got)
 	}
 	if got := c.Get(CounterMapOut); got != 3 {
 		t.Errorf("map out = %d, want 3", got)
@@ -212,8 +234,8 @@ func TestFrameworkCounters(t *testing.T) {
 
 func TestMapErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error { return boom })
-	_, err := RunFrames(context.Background(), Config{Name: "failing"}, [][]byte{[]byte("x")}, mapper, nil, sumReducer)
+	mapper := BlockMapperFunc(func(*points.Block, EmitPoint) error { return boom })
+	_, err := Run(context.Background(), Config{Name: "failing"}, docsInput([]string{"x"}, 1), mapper, nil, sumFolder)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -224,9 +246,8 @@ func TestMapErrorPropagates(t *testing.T) {
 
 func TestReduceErrorPropagates(t *testing.T) {
 	boom := errors.New("reduce-boom")
-	reducer := FrameReducerFunc(func(int, *points.Block, EmitPoint) error { return boom })
-	ids, _ := vocabulary([]string{"x"})
-	_, err := RunFrames(context.Background(), Config{}, [][]byte{[]byte("x")}, wordMapper(ids), nil, reducer)
+	folder := func(int) FrameFold { return errFold{boom} }
+	_, err := Run(context.Background(), Config{}, docsInput([]string{"x"}, 1), wordMapper, nil, folder)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -235,8 +256,7 @@ func TestReduceErrorPropagates(t *testing.T) {
 func TestCombinerErrorPropagates(t *testing.T) {
 	boom := errors.New("combine-boom")
 	bad := func(int, *points.Block) (*points.Block, error) { return nil, boom }
-	ids, _ := vocabulary([]string{"x"})
-	_, err := RunFrames(context.Background(), Config{}, [][]byte{[]byte("x")}, wordMapper(ids), bad, sumReducer)
+	_, err := Run(context.Background(), Config{}, docsInput([]string{"x"}, 1), wordMapper, bad, sumFolder)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -244,18 +264,16 @@ func TestCombinerErrorPropagates(t *testing.T) {
 
 func TestFlakyMapTaskRetried(t *testing.T) {
 	var calls int32
-	ids, _ := vocabulary([]string{"a"})
-	words := wordMapper(ids)
-	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		// First attempt of each record fails; retry succeeds.
+	mapper := BlockMapperFunc(func(blk *points.Block, emit EmitPoint) error {
+		// First attempt of each chunk fails; retry succeeds.
 		if atomic.AddInt32(&calls, 1)%2 == 1 {
 			return errors.New("transient")
 		}
-		return words.MapFrame(rec, emit)
+		return wordMapper(blk, emit)
 	})
-	res, err := RunFrames(context.Background(),
-		Config{Workers: 1, SplitSize: 1, MaxAttempts: 3},
-		[][]byte{[]byte("a")}, mapper, nil, sumReducer)
+	res, err := Run(context.Background(),
+		Config{Workers: 1, MaxAttempts: 3},
+		docsInput([]string{"a"}, 1), mapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +286,8 @@ func TestFlakyMapTaskRetried(t *testing.T) {
 }
 
 func TestPersistentFailureExhaustsAttempts(t *testing.T) {
-	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error { return errors.New("always") })
-	_, err := RunFrames(context.Background(), Config{MaxAttempts: 3}, [][]byte{[]byte("x")}, mapper, nil, sumReducer)
+	mapper := BlockMapperFunc(func(*points.Block, EmitPoint) error { return errors.New("always") })
+	_, err := Run(context.Background(), Config{MaxAttempts: 3}, docsInput([]string{"x"}, 1), mapper, nil, sumFolder)
 	if err == nil || !strings.Contains(err.Error(), "3 attempt(s)") {
 		t.Errorf("err = %v, want exhausted-attempts failure", err)
 	}
@@ -280,18 +298,18 @@ func TestContextCancellation(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	block := make(chan struct{})
-	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
+	mapper := BlockMapperFunc(func(*points.Block, EmitPoint) error {
 		once.Do(func() { close(started) })
 		<-block
 		return nil
 	})
-	input := make([][]byte, 100)
-	for i := range input {
-		input[i] = []byte("x")
+	docs := make([]string, 100)
+	for i := range docs {
+		docs[i] = "x"
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunFrames(ctx, Config{Workers: 1, SplitSize: 1}, input, mapper, nil, sumReducer)
+		_, err := Run(ctx, Config{Workers: 1}, docsInput(docs, 1), mapper, nil, sumFolder)
 		done <- err
 	}()
 	<-started
@@ -302,28 +320,24 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestNilMapperRejected: every entry point refuses missing job code up
-// front instead of panicking inside a task.
+// TestNilMapperRejected: Run refuses missing job code up front instead
+// of panicking inside a task.
 func TestNilMapperRejected(t *testing.T) {
-	ids, _ := vocabulary([]string{"x"})
 	ctx := context.Background()
-	if _, err := RunFrames(ctx, Config{}, nil, nil, nil, sumReducer); err == nil {
+	input := docsInput([]string{"x"}, 1)
+	if _, err := Run(ctx, Config{}, input, nil, nil, sumFolder); err == nil {
 		t.Error("nil mapper accepted")
 	}
-	if _, err := RunFrames(ctx, Config{}, nil, wordMapper(ids), nil, nil); err == nil {
-		t.Error("nil reducer accepted")
-	}
-	if _, err := RunFramesFold(ctx, Config{}, nil, wordMapper(ids), nil, nil); err == nil {
+	if _, err := Run(ctx, Config{}, input, wordMapper, nil, nil); err == nil {
 		t.Error("nil folder accepted")
 	}
-	if _, err := RunFramesChunked(ctx, Config{}, chunkSrc{}, nil, nil, BudgetedFolder(1, 1<<20, "", 0)); err == nil {
-		t.Error("nil block mapper accepted")
+	if _, err := Run(ctx, Config{}, nil, wordMapper, nil, sumFolder); err == nil {
+		t.Error("nil source accepted")
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	ids, _ := vocabulary([]string{"x"})
-	res, err := RunFrames(context.Background(), Config{}, nil, wordMapper(ids), nil, sumReducer)
+	res, err := Run(context.Background(), Config{}, docsInput(nil, 1), wordMapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +348,8 @@ func TestEmptyInput(t *testing.T) {
 
 func TestSpillMode(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Name: "spilled", Workers: 3, Reducers: 2, SplitSize: 1, SpillDir: dir}
-	requireWordCounts(t, wordCountJob(t, cfg, wcDocs, nil))
+	cfg := Config{Name: "spilled", Workers: 3, Reducers: 2, SpillDir: dir}
+	requireWordCounts(t, wordCountJob(t, cfg, wcDocs, 1, nil))
 	requireNoSpillFiles(t, dir)
 }
 
@@ -353,8 +367,7 @@ func requireNoSpillFiles(t *testing.T, dir string) {
 
 func TestSpillBytesCounter(t *testing.T) {
 	docs := []string{"hello world hello"}
-	ids, _ := vocabulary(docs)
-	res, err := RunFrames(context.Background(), Config{SpillDir: t.TempDir()}, docsInput(docs), wordMapper(ids), nil, sumReducer)
+	res, err := Run(context.Background(), Config{SpillDir: t.TempDir()}, docsInput(docs, 1), wordMapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,15 +378,13 @@ func TestSpillBytesCounter(t *testing.T) {
 
 func TestSpillDirMissing(t *testing.T) {
 	cfg := Config{SpillDir: filepath.Join(os.TempDir(), "definitely-missing-dir-xyz")}
-	ids, _ := vocabulary([]string{"x"})
-	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("x")}, wordMapper(ids), nil, sumReducer); err == nil {
+	if _, err := Run(context.Background(), cfg, docsInput([]string{"x"}, 1), wordMapper, nil, sumFolder); err == nil {
 		t.Error("missing spill dir accepted")
 	}
 }
 
 func TestTimingPopulated(t *testing.T) {
-	ids, _ := vocabulary(wcDocs)
-	res, err := RunFrames(context.Background(), Config{Workers: 2}, docsInput(wcDocs), wordMapper(ids), sumCombiner, sumReducer)
+	res, err := Run(context.Background(), Config{Workers: 2}, docsInput(wcDocs, 1), wordMapper, sumCombiner, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,16 +425,16 @@ func TestCountersSnapshot(t *testing.T) {
 // reducer p mod reducers, the same way on every call.
 func TestFrameRoutingStableAndInRange(t *testing.T) {
 	const parts, reducers = 14, 4
-	input := make([][]byte, parts)
-	for p := range input {
-		input[p] = points.Encode(points.Point{float64(p), 1})
+	input := points.NewBlock(2, parts)
+	for p := 0; p < parts; p++ {
+		input.AppendRow([]float64{float64(p), 1})
 	}
 	mapper, _ := identityFrameJob(parts)
-	first, _, err := BuildFrames(input, reducers, mapper, nil, points.FrameDefault)
+	first, _, err := MapFrames(input, reducers, mapper, nil, points.FrameDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := BuildFrames(input, reducers, mapper, nil, points.FrameDefault)
+	again, _, err := MapFrames(input, reducers, mapper, nil, points.FrameDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +455,7 @@ func TestFrameRoutingStableAndInRange(t *testing.T) {
 			}
 		}
 	}
-	single, _, err := BuildFrames(input, 1, mapper, nil, points.FrameDefault)
+	single, _, err := MapFrames(input, 1, mapper, nil, points.FrameDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +465,7 @@ func TestFrameRoutingStableAndInRange(t *testing.T) {
 }
 
 func TestManyWorkersFewTasks(t *testing.T) {
-	requireWordCounts(t, wordCountJob(t, Config{Workers: 64, SplitSize: 100}, wcDocs, nil))
+	requireWordCounts(t, wordCountJob(t, Config{Workers: 64}, wcDocs, 100, nil))
 }
 
 func BenchmarkWordCount(b *testing.B) {
@@ -462,12 +473,10 @@ func BenchmarkWordCount(b *testing.B) {
 	for i := range docs {
 		docs[i] = fmt.Sprintf("word%d common word%d common common", i%50, i%13)
 	}
-	ids, _ := vocabulary(docs)
-	input := docsInput(docs)
-	mapper := wordMapper(ids)
+	input := docsInput(docs, len(docs)/16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFrames(context.Background(), Config{Workers: 4}, input, mapper, nil, sumReducer); err != nil {
+		if _, err := Run(context.Background(), Config{Workers: 4}, input, wordMapper, nil, sumFolder); err != nil {
 			b.Fatal(err)
 		}
 	}

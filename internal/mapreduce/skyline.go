@@ -5,8 +5,8 @@ import (
 	"repro/internal/skyline"
 )
 
-// Skyline adapters: the combiner, reducer and fold shapes every skyline
-// job shares, in-process and on rpcmr workers alike.
+// Skyline adapters: the combiner and fold shapes every skyline job
+// shares, in-process and on rpcmr workers alike.
 
 // KernelCombiner folds each map-side block to its kernel output before
 // the frame is sealed — the paper's local-skyline combiner.
@@ -16,16 +16,39 @@ func KernelCombiner(kernel skyline.BlockFunc) FrameCombiner {
 	}
 }
 
-// KernelReducer emits each partition's kernel output under its own id.
-func KernelReducer(kernel skyline.BlockFunc) FrameReducer {
-	return FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
-		out := kernel(blk)
-		for i := 0; i < out.Len(); i++ {
-			emit(partition, out.Row(i))
-		}
-		return nil
-	})
+// KernelFolder returns a FrameFolder whose folds assemble each
+// partition's frames into one block and run kernel over it at Finish,
+// emitting the output under the partition's own id — the reducer of the
+// paper's jobs. Each fold reports its assembled block as its resident
+// bytes.
+func KernelFolder(kernel skyline.BlockFunc) FrameFolder {
+	return func(partition int) FrameFold {
+		return &kernelFold{partition: partition, kernel: kernel, blk: points.NewBlock(0, 0)}
+	}
 }
+
+// kernelFold is KernelFolder's assembling fold.
+type kernelFold struct {
+	partition int
+	kernel    skyline.BlockFunc
+	blk       *points.Block
+}
+
+func (k *kernelFold) Absorb(blk *points.Block) error {
+	k.blk.AppendBlock(blk)
+	return nil
+}
+
+func (k *kernelFold) Finish(emit EmitPoint) error {
+	out := k.kernel(k.blk)
+	for i := 0; i < out.Len(); i++ {
+		emit(k.partition, out.Row(i))
+	}
+	return nil
+}
+
+func (k *kernelFold) PeakBytes() int64 { return int64(k.blk.Len()) * int64(k.blk.Dim()) * 8 }
+func (k *kernelFold) Passes() int      { return 1 }
 
 // budgetedFrameFold adapts skyline.BudgetedFold to FrameFold, surfacing
 // its peak/pass stats through FoldPeaker.

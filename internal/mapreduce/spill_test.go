@@ -37,6 +37,35 @@ func writeTestFrameSpill(t *testing.T, compress bool) (string, [][]byte) {
 	return files[0], frames
 }
 
+// readFrameSpillErr reads every frame of one spill file, in order.
+func readFrameSpillErr(name string) ([][]byte, error) {
+	r, err := openFrameSpill(name)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var frames [][]byte
+	for {
+		frame, err := r.Next()
+		if err == io.EOF {
+			return frames, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		frames = append(frames, frame)
+	}
+}
+
+func readTestFrameSpill(t *testing.T, name string) [][]byte {
+	t.Helper()
+	frames, err := readFrameSpillErr(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
 func TestFrameSpillReaderStreams(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		name, want := writeTestFrameSpill(t, compress)
@@ -109,7 +138,7 @@ func TestFrameSpillTruncatedTyped(t *testing.T) {
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrameSpill(bad); !errors.Is(err, ErrSpillTruncated) {
+	if _, err := readFrameSpillErr(bad); !errors.Is(err, ErrSpillTruncated) {
 		t.Fatalf("corrupt spill: want ErrSpillTruncated, got %v", err)
 	}
 }
@@ -120,12 +149,12 @@ func TestFrameSpillTruncatedTyped(t *testing.T) {
 // TestExternalShuffleMatchesInMemory: spilling must change nothing —
 // same partitions, same rows, same row order.
 func TestExternalShuffleMatchesInMemory(t *testing.T) {
-	input := encodeAll(frameTestData(300, 3, 11))
-	mapper, reducer := identityFrameJob(17)
+	input := SetSource(frameTestData(300, 3, 11), 20)
+	mapper, folder := identityFrameJob(17)
 	runWith := func(spill string) map[int]*points.Block {
-		res, err := RunFrames(context.Background(),
-			Config{Workers: 3, Reducers: 3, SplitSize: 20, SpillDir: spill},
-			input, mapper, nil, reducer)
+		res, err := Run(context.Background(),
+			Config{Workers: 3, Reducers: 3, SpillDir: spill},
+			input, mapper, nil, folder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,17 +169,16 @@ func TestExternalShuffleMatchesInMemory(t *testing.T) {
 func TestExternalShuffleReduceRetry(t *testing.T) {
 	dir := t.TempDir()
 	var failures int32
-	reducer := FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
+	folder := func(partition int) FrameFold {
 		if atomic.AddInt32(&failures, 1) == 1 {
-			return errors.New("transient reduce failure")
+			return errFold{errors.New("transient reduce failure")}
 		}
-		return sumReducer(partition, blk, emit)
-	})
+		return sumFolder(partition)
+	}
 	docs := []string{"k", "k", "k", "k", "k", "k"}
-	ids, _ := vocabulary(docs)
-	res, err := RunFrames(context.Background(),
-		Config{Workers: 1, Reducers: 1, SplitSize: 5, SpillDir: dir, MaxAttempts: 3},
-		docsInput(docs), wordMapper(ids), nil, reducer)
+	res, err := Run(context.Background(),
+		Config{Workers: 1, Reducers: 1, SpillDir: dir, MaxAttempts: 3},
+		docsInput(docs, 5), wordMapper, nil, folder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +193,8 @@ func TestExternalShuffleReduceRetry(t *testing.T) {
 
 func TestExternalShuffleCountsRecords(t *testing.T) {
 	docs := []string{"a", "b", "a"}
-	ids, _ := vocabulary(docs)
-	res, err := RunFrames(context.Background(), Config{SpillDir: t.TempDir(), SplitSize: 1},
-		docsInput(docs), wordMapper(ids), nil, sumReducer)
+	res, err := Run(context.Background(), Config{SpillDir: t.TempDir()},
+		docsInput(docs, 1), wordMapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +204,17 @@ func TestExternalShuffleCountsRecords(t *testing.T) {
 }
 
 // TestMergeStreamManyRuns: many map tasks × few reducers, so every
-// reducer gathers its partitions from many spill runs — on both the
-// assembling and the streaming reduce paths.
+// reducer gathers its partitions from many spill runs — through both
+// the assembling and the budgeted folds.
 func TestMergeStreamManyRuns(t *testing.T) {
 	docs := make([]string, 200)
 	for i := range docs {
 		docs[i] = fmt.Sprintf("key%d", i%5)
 	}
-	ids, words := vocabulary(docs)
-	input := docsInput(docs)
-	cfg := Config{Workers: 4, Reducers: 2, SplitSize: 3, SpillDir: t.TempDir()}
-	res, err := RunFrames(context.Background(), cfg, input, wordMapper(ids), nil, sumReducer)
+	_, words := vocabulary(docs)
+	input := docsInput(docs, 3)
+	cfg := Config{Workers: 4, Reducers: 2, SpillDir: t.TempDir()}
+	res, err := Run(context.Background(), cfg, input, wordMapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +223,9 @@ func TestMergeStreamManyRuns(t *testing.T) {
 			t.Errorf("%s count = %v, want 40", words[id], got)
 		}
 	}
-	// The streaming path keeps every spilled row; a budget large enough
+	// The budgeted fold keeps every spilled row; a budget large enough
 	// for one window holds the five distinct points.
-	folded, err := RunFramesFold(context.Background(), cfg, input, wordMapper(ids), nil,
+	folded, err := Run(context.Background(), cfg, input, wordMapper, nil,
 		BudgetedFolder(1, 1<<20, cfg.SpillDir, points.FrameDefault))
 	if err != nil {
 		t.Fatal(err)
@@ -216,18 +243,16 @@ func TestCompressedSpillSameResult(t *testing.T) {
 	for i := range docs {
 		docs[i] = fmt.Sprintf("k%d", i%9)
 	}
-	ids, _ := vocabulary(docs)
-	input := docsInput(docs)
-	mapper, reducer := wordMapper(ids), sumReducer
-	plain, err := RunFrames(context.Background(),
-		Config{Workers: 2, Reducers: 2, SplitSize: 10, SpillDir: t.TempDir()},
-		input, mapper, nil, reducer)
+	input := docsInput(docs, 10)
+	plain, err := Run(context.Background(),
+		Config{Workers: 2, Reducers: 2, SpillDir: t.TempDir()},
+		input, wordMapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed, err := RunFrames(context.Background(),
-		Config{Workers: 2, Reducers: 2, SplitSize: 10, SpillDir: t.TempDir(), CompressSpill: true},
-		input, mapper, nil, reducer)
+	compressed, err := Run(context.Background(),
+		Config{Workers: 2, Reducers: 2, SpillDir: t.TempDir(), CompressSpill: true},
+		input, wordMapper, nil, sumFolder)
 	if err != nil {
 		t.Fatal(err)
 	}

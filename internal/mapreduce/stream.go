@@ -10,14 +10,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Streaming reduce: the out-of-core half of the frame engine. The
-// assemble-everything path (ReduceFrames) materializes each partition's
-// full block before reducing it, which bounds a job by one reducer's
-// memory. The streaming path replaces the assembled block with a
-// FrameFold per partition: frames are decoded one at a time — straight
-// off the spill file via frameSpillReader — and absorbed incrementally,
-// so a reduce task's working set is the folds' bounded state plus one
-// frame of scratch, regardless of partition size.
+// The reduce side: every reduce task feeds its frames — decoded one at a
+// time, straight off the spill file via frameSpillReader when the
+// shuffle spilled — into a FrameFold per partition, so what a reduce
+// task holds is up to its folds: an assembling fold (KernelFolder) holds
+// its partition's block, a budgeted fold (BudgetedFolder) a bounded
+// window, plus one frame of decode scratch either way.
 
 // FrameFold is incremental per-partition reduce state: Absorb is called
 // once per arriving frame block (the block is scratch — copy what must
@@ -44,7 +42,7 @@ type FoldPeaker interface {
 
 // FrameSource yields one shuffle frame at a time; io.EOF ends the
 // stream. It abstracts spilled runs (frameSpillReader) and in-memory
-// sealed streams so the streaming reduce path treats both identically.
+// sealed streams so the reduce side treats both identically.
 type FrameSource interface {
 	Next() ([]byte, error)
 }
@@ -77,8 +75,9 @@ func (m *memFrameSource) Next() ([]byte, error) {
 // ReduceFramesStream drains every source in order, folding each frame
 // into its partition's fold, then finishes the folds in ascending
 // partition order and seals the emissions into one output frame stream.
-// Shared by the in-process engine's streaming reduce tasks and the rpcmr
-// workers. Sources are closed by the caller.
+// It is the reduce half of the frame shuffle, shared by the in-process
+// engine's reduce tasks and the rpcmr workers. Sources are closed by the
+// caller.
 func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.FrameCodec) ([]byte, FrameStats, error) {
 	var st FrameStats
 	folds := make(map[int]FrameFold)
@@ -157,10 +156,9 @@ func sortedInts[V any](m map[int]V) []int {
 	return ids
 }
 
-// runFrameReduceTaskStream is the streaming counterpart of
-// runFrameReduceTask: reducer r's frames are read from memory or spill
-// one frame at a time and folded, never assembled.
-func runFrameReduceTaskStream(cfg Config, r int, outputs []frameTaskOutput, folder FrameFolder) ([]byte, FrameStats, error) {
+// runReduceTask folds reducer r's frames, read from memory or spill one
+// frame at a time in map-task order.
+func runReduceTask(cfg Config, r int, outputs []frameTaskOutput, folder FrameFolder) ([]byte, FrameStats, error) {
 	var srcs []FrameSource
 	var open []*frameSpillReader
 	defer func() {
@@ -188,12 +186,12 @@ func runFrameReduceTaskStream(cfg Config, r int, outputs []frameTaskOutput, fold
 }
 
 // ---------------------------------------------------------------------------
-// Chunked input: out-of-core map side
+// Chunked input: the map side
 
-// ChunkSource provides the input of an out-of-core job as random-access
-// chunks: one map task per chunk, each read directly into a block, so
-// the full input never exists in memory as [][]byte records. ReadChunk
-// must be safe for concurrent use and re-readable (task retry).
+// ChunkSource provides a job's input as random-access chunks: one map
+// task per chunk, each read directly into a block, so the input never
+// exists as per-point records. ReadChunk must be safe for concurrent use
+// and re-readable (task retry).
 type ChunkSource interface {
 	Chunks() int
 	ReadChunk(i int, blk *points.Block) error
@@ -211,44 +209,66 @@ type BlockMapperFunc func(blk *points.Block, emit EmitPoint) error
 // MapBlock implements BlockMapper.
 func (f BlockMapperFunc) MapBlock(blk *points.Block, emit EmitPoint) error { return f(blk, emit) }
 
-// RunFramesChunked executes an out-of-core frame job: the input arrives
-// chunk-at-a-time from src (one map task per chunk), intermediate frames
-// spill to cfg.SpillDir when set, and the reduce side streams through
-// per-partition folds exactly as RunFramesFold. Nothing in the pipeline
-// ever holds the whole input: peak memory is
-// workers × (chunk + sealed frames) on the map side and the folds'
-// budgets plus decode scratch on the reduce side.
-func RunFramesChunked(ctx context.Context, cfg Config, src ChunkSource, mapper BlockMapper, combiner FrameCombiner, folder FrameFolder) (*FrameResult, error) {
-	if mapper == nil || folder == nil {
-		return nil, fmt.Errorf("mapreduce: %s: mapper and folder must be non-nil", cfg.Name)
+// SetSource serves an in-memory point set as consecutive chunks of split
+// rows (the last one shorter); split < 1 serves the whole set as one
+// chunk. Each ReadChunk copies its rows once into a presized block, so a
+// job over the whole set allocates its n×d coordinates once.
+func SetSource(rows points.Set, split int) ChunkSource {
+	if split < 1 {
+		split = max(len(rows), 1)
 	}
-	chunks := src.Chunks()
-	cfg = cfg.withDefaults(chunks)
-	mapTask := func(task int, counters *Counters) (frameTaskOutput, int, error) {
-		return runChunkMapTask(cfg, task, src, mapper, combiner, counters)
-	}
-	return runJob(ctx, cfg, chunks, mapTask, nil, folder,
-		telemetry.A("chunks", chunks), telemetry.A("shuffle", "frames-chunked"))
+	return setSource{rows: rows, split: split}
 }
 
-// runChunkMapTask reads one chunk and maps, combines, seals and
-// (optionally) spills it — BuildFrames with a block input.
-func runChunkMapTask(cfg Config, task int, src ChunkSource, mapper BlockMapper, combiner FrameCombiner, counters *Counters) (frameTaskOutput, int, error) {
+type setSource struct {
+	rows  points.Set
+	split int
+}
+
+func (s setSource) Chunks() int { return (len(s.rows) + s.split - 1) / s.split }
+
+func (s setSource) ReadChunk(i int, blk *points.Block) error {
+	lo := i * s.split
+	chunk, ok := points.BlockOf(s.rows[lo:min(lo+s.split, len(s.rows))])
+	if !ok {
+		return fmt.Errorf("mapreduce: chunk %d mixes dimensionalities", i)
+	}
+	*blk = *chunk // adopt the presized copy
+	return nil
+}
+
+// Run executes one MapReduce job: src is read one chunk per map task,
+// mapper routes each chunk's rows to partitions, combiner (may be nil)
+// folds each partition's block map-side before its frame is sealed,
+// sealed frames spill to cfg.SpillDir when set, and every reduce task
+// streams its frames through per-partition folds created by folder. It
+// blocks until the job completes, fails, or ctx is cancelled. Nothing in
+// the pipeline holds more of the input than the chunks in flight:
+// map-side memory is workers × (chunk + sealed frames), reduce-side the
+// folds' state plus one frame of decode scratch.
+func Run(ctx context.Context, cfg Config, src ChunkSource, mapper BlockMapper, combiner FrameCombiner, folder FrameFolder) (*FrameResult, error) {
+	if src == nil || mapper == nil || folder == nil {
+		return nil, fmt.Errorf("mapreduce: %s: source, mapper and folder must be non-nil", cfg.Name)
+	}
+	chunks := src.Chunks()
+	cfg = cfg.withDefaults()
+	mapTask := func(task int, counters *Counters) (frameTaskOutput, int, error) {
+		return runMapTask(cfg, task, src, mapper, combiner, counters)
+	}
+	return runJob(ctx, cfg, chunks, mapTask, folder,
+		telemetry.A("chunks", chunks), telemetry.A("shuffle", "frames"))
+}
+
+// runMapTask reads one chunk and maps, combines, seals and (optionally)
+// spills it.
+func runMapTask(cfg Config, task int, src ChunkSource, mapper BlockMapper, combiner FrameCombiner, counters *Counters) (frameTaskOutput, int, error) {
 	blk := points.NewBlock(0, 0)
 	if err := src.ReadChunk(task, blk); err != nil {
 		return frameTaskOutput{}, 0, fmt.Errorf("mapreduce: %s: reading chunk %d: %w", cfg.Name, task, err)
 	}
 	n := blk.Len()
 	counters.Add(CounterMapIn, int64(n))
-	fb := frameBuilderPool.Get().(*frameBuilder)
-	defer func() {
-		fb.reset()
-		frameBuilderPool.Put(fb)
-	}()
-	if err := mapper.MapBlock(blk, fb.add); err != nil {
-		return frameTaskOutput{}, 0, err
-	}
-	streams, st, err := fb.combineAndSeal(cfg.Reducers, combiner, cfg.Codec)
+	streams, st, err := MapFrames(blk, cfg.Reducers, mapper, combiner, cfg.Codec)
 	if err != nil {
 		return frameTaskOutput{}, 0, err
 	}

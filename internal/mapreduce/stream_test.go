@@ -27,38 +27,37 @@ func canonicalBlocks(t *testing.T, blocks map[int]*points.Block) map[int][]strin
 	return out
 }
 
-func streamTestInput(rng *rand.Rand, n, d int) [][]byte {
-	input := make([][]byte, n)
+func streamTestInput(rng *rand.Rand, n, d int) points.Set {
+	input := make(points.Set, n)
 	for i := range input {
-		coords := make([]float64, d)
+		coords := make(points.Point, d)
 		for j := range coords {
 			coords[j] = rng.Float64()
 		}
-		input[i] = points.Encode(points.Point(coords))
+		input[i] = coords
 	}
 	return input
 }
 
-// streamSkyMapper routes each decoded point to partition hash(first
-// coordinate) mod parts.
-func streamSkyMapper(d, parts int) FrameMapper {
-	return FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
+// streamSkyMapper routes each point to partition hash(first coordinate)
+// mod parts.
+func streamSkyMapper(parts int) BlockMapper {
+	return BlockMapperFunc(func(blk *points.Block, emit EmitPoint) error {
+		for i := 0; i < blk.Len(); i++ {
+			row := blk.Row(i)
+			part := int(row[0]*1e6) % parts
+			if part < 0 {
+				part = 0
+			}
+			emit(part, row)
 		}
-		part := int(p[0]*1e6) % parts
-		if part < 0 {
-			part = 0
-		}
-		emit(part, p)
 		return nil
 	})
 }
 
-// skylineReducer computes each partition's skyline via the in-memory
+// skylineFolder computes each partition's skyline via the in-memory
 // flat kernel — the oracle the budgeted path must match.
-func skylineReducer() FrameReducer { return KernelReducer(skyline.BlockBNL) }
+func skylineFolder() FrameFolder { return KernelFolder(skyline.BlockBNL) }
 
 // TestRunFramesFoldOracle: the streaming budgeted reduce must produce
 // exactly the in-memory reduce's skyline, partition by partition, under
@@ -67,12 +66,12 @@ func skylineReducer() FrameReducer { return KernelReducer(skyline.BlockBNL) }
 func TestRunFramesFoldOracle(t *testing.T) {
 	const n, d, parts = 4000, 4, 6
 	rng := rand.New(rand.NewSource(21))
-	input := streamTestInput(rng, n, d)
-	mapper := streamSkyMapper(d, parts)
+	input := SetSource(streamTestInput(rng, n, d), n/16)
+	mapper := streamSkyMapper(parts)
 
-	oracle, err := RunFrames(context.Background(),
+	oracle, err := Run(context.Background(),
 		Config{Name: "oracle", Workers: 4, Reducers: 3},
-		input, mapper, nil, skylineReducer())
+		input, mapper, nil, skylineFolder())
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -91,15 +90,14 @@ func TestRunFramesFoldOracle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{Name: "fold-" + tc.name, Workers: 4, Reducers: 3,
-				Codec: tc.codec, ReducerBudgetBytes: tc.budget}
+			cfg := Config{Name: "fold-" + tc.name, Workers: 4, Reducers: 3, Codec: tc.codec}
 			if tc.spill {
 				cfg.SpillDir = dir
 			}
 			folder := BudgetedFolder(d, tc.budget, dir, points.FrameAuto)
-			res, err := RunFramesFold(context.Background(), cfg, input, mapper, nil, folder)
+			res, err := Run(context.Background(), cfg, input, mapper, nil, folder)
 			if err != nil {
-				t.Fatalf("RunFramesFold: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			got := canonicalBlocks(t, res.Blocks)
 			if len(got) != len(want) {
@@ -145,43 +143,31 @@ func (c chunkSrc) ReadChunk(i int, blk *points.Block) error {
 	return nil
 }
 
-// TestRunFramesChunkedOracle: the chunked out-of-core engine must match
-// RunFrames over the equivalent materialized input.
+// TestRunFramesChunkedOracle: the generated chunk source with a combiner
+// and budgeted folds must match the materialized input's in-memory
+// per-partition skylines.
 func TestRunFramesChunkedOracle(t *testing.T) {
 	const chunks, per, d, parts = 16, 250, 5, 4
 	src := chunkSrc{chunks: chunks, per: per, d: d}
 
 	// Materialize the same rows for the oracle.
-	var input [][]byte
+	var input points.Set
 	for i := 0; i < chunks; i++ {
 		blk := points.NewBlock(d, per)
 		if err := src.ReadChunk(i, blk); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < blk.Len(); r++ {
-			input = append(input, points.Encode(points.Point(blk.Row(r))))
-		}
+		input = append(input, blk.ToSet()...)
 	}
-	mapper := streamSkyMapper(d, parts)
-	oracle, err := RunFrames(context.Background(),
+	blockMapper := streamSkyMapper(parts)
+	oracle, err := Run(context.Background(),
 		Config{Name: "chunk-oracle", Workers: 4, Reducers: 2},
-		input, mapper, nil, skylineReducer())
+		SetSource(input, 0), blockMapper, nil, skylineFolder())
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	want := canonicalBlocks(t, oracle.Blocks)
 
-	blockMapper := BlockMapperFunc(func(blk *points.Block, emit EmitPoint) error {
-		for i := 0; i < blk.Len(); i++ {
-			row := blk.Row(i)
-			part := int(row[0]*1e6) % parts
-			if part < 0 {
-				part = 0
-			}
-			emit(part, row)
-		}
-		return nil
-	})
 	combiner := func(partition int, blk *points.Block) (*points.Block, error) {
 		return skyline.BlockBNL(blk), nil
 	}
@@ -190,11 +176,11 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("budget-%d", budget), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Name: "chunked", Workers: 4, Reducers: 2,
-				SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: budget}
+				SpillDir: dir, Codec: points.FrameAuto}
 			folder := BudgetedFolder(d, budget, dir, points.FrameAuto)
-			res, err := RunFramesChunked(context.Background(), cfg, src, blockMapper, combiner, folder)
+			res, err := Run(context.Background(), cfg, src, blockMapper, combiner, folder)
 			if err != nil {
-				t.Fatalf("RunFramesChunked: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			// The combiner shrinks map output to local skylines; the global
 			// per-partition skyline is the skyline of local skylines, so the
@@ -226,21 +212,22 @@ func TestFrameCodecOnShuffle(t *testing.T) {
 	const n, d, parts = 2000, 6, 4
 	rng := rand.New(rand.NewSource(77))
 	// Clustered input: shared exponents/mantissa prefixes, v2's case.
-	input := make([][]byte, n)
-	for i := range input {
-		coords := make([]float64, d)
+	data := make(points.Set, n)
+	for i := range data {
+		coords := make(points.Point, d)
 		base := float64(i%7) / 7
 		for j := range coords {
 			coords[j] = base + rng.NormFloat64()*1e-4
 		}
-		input[i] = points.Encode(points.Point(coords))
+		data[i] = coords
 	}
-	mapper := streamSkyMapper(d, parts)
+	input := SetSource(data, n/8)
+	mapper := streamSkyMapper(parts)
 
 	run := func(codec points.FrameCodec) *FrameResult {
-		res, err := RunFrames(context.Background(),
+		res, err := Run(context.Background(),
 			Config{Name: "codec", Workers: 2, Reducers: 2, Codec: codec},
-			input, mapper, nil, skylineReducer())
+			input, mapper, nil, skylineFolder())
 		if err != nil {
 			t.Fatalf("codec %v: %v", codec, err)
 		}

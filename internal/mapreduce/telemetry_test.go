@@ -14,9 +14,9 @@ import (
 func TestEngineSpans(t *testing.T) {
 	tr := telemetry.NewTracer()
 	ctx := telemetry.WithTracer(context.Background(), tr)
-	cfg := Config{Name: "spanned", Workers: 2, Reducers: 2, SplitSize: 1}
-	input := [][]byte{[]byte("a b"), []byte("c d"), []byte("e")}
-	if _, err := RunFrames(ctx, cfg, input, traceMapper(), nil, traceReducer()); err != nil {
+	cfg := Config{Name: "spanned", Workers: 2, Reducers: 2}
+	input := docsInput([]string{"a b", "c d", "e"}, 1)
+	if _, err := Run(ctx, cfg, input, traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,9 +62,9 @@ func TestEngineSpans(t *testing.T) {
 // counters and phase timings must land in mr_* series.
 func TestEngineMetricsBridge(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := Config{Name: "metered", Workers: 2, SplitSize: 1, Metrics: reg}
-	input := [][]byte{[]byte("x y"), []byte("z")}
-	res, err := RunFrames(context.Background(), cfg, input, traceMapper(), nil, traceReducer())
+	cfg := Config{Name: "metered", Workers: 2, Metrics: reg}
+	input := docsInput([]string{"x y", "z"}, 1)
+	res, err := Run(context.Background(), cfg, input, traceMapper(), nil, traceReducer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestEngineMetricsBridge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	if got := samples[`mr_map_records_in_total{job="metered"}`]; got != 2 {
-		t.Errorf("bridged map-in = %v, want 2", got)
+	if got := samples[`mr_map_records_in_total{job="metered"}`]; got != 3 {
+		t.Errorf("bridged map-in = %v, want 3", got)
 	}
 	if got := samples[`mr_jobs_total{job="metered"}`]; got != 1 {
 		t.Errorf("mr_jobs_total = %v, want 1", got)
@@ -99,7 +99,7 @@ func TestEngineMetricsBridge(t *testing.T) {
 // record anything anywhere (the default-off contract for library code).
 func TestTelemetryOffIsInert(t *testing.T) {
 	cfg := Config{Name: "dark", Workers: 1}
-	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), nil, traceReducer()); err != nil {
+	if _, err := Run(context.Background(), cfg, docsInput([]string{"a"}, 1), traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 }

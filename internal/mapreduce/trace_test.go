@@ -8,26 +8,21 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/points"
 )
 
-// traceMapper routes each word to the partition of its first letter.
-func traceMapper() FrameMapper {
-	return FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(int(w[0]-'a'), []float64{1})
-		}
-		return nil
-	})
-}
+// traceMapper routes each word to its vocabulary partition.
+func traceMapper() BlockMapper { return wordMapper }
 
 // traceReducer emits one point per partition.
-func traceReducer() FrameReducer { return sumReducer }
+func traceReducer() FrameFolder { return sumFolder }
 
 func TestTraceLifecycle(t *testing.T) {
 	sink := &MemorySink{}
-	cfg := Config{Name: "traced", Workers: 2, Reducers: 2, SplitSize: 1, Trace: sink}
-	input := [][]byte{[]byte("a b"), []byte("c")}
-	if _, err := RunFrames(context.Background(), cfg, input, traceMapper(), nil, traceReducer()); err != nil {
+	cfg := Config{Name: "traced", Workers: 2, Reducers: 2, Trace: sink}
+	input := docsInput([]string{"a", "c"}, 1)
+	if _, err := Run(context.Background(), cfg, input, traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 	events := sink.Events()
@@ -67,7 +62,7 @@ func TestTraceLifecycle(t *testing.T) {
 			if e.Duration <= 0 {
 				t.Errorf("task-end %s/%d has no duration", e.Phase, e.Task)
 			}
-			if e.Phase == "map" && e.Records != 1 { // SplitSize: 1
+			if e.Phase == "map" && e.Records != 1 { // one single-word doc per task
 				t.Errorf("map task-end records = %d, want 1", e.Records)
 			}
 		}
@@ -86,7 +81,7 @@ func TestTraceLifecycle(t *testing.T) {
 func TestTraceRetries(t *testing.T) {
 	sink := &MemorySink{}
 	var calls int32
-	flaky := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
+	flaky := BlockMapperFunc(func(_ *points.Block, emit EmitPoint) error {
 		if atomic.AddInt32(&calls, 1) == 1 {
 			return errors.New("transient")
 		}
@@ -94,7 +89,7 @@ func TestTraceRetries(t *testing.T) {
 		return nil
 	})
 	cfg := Config{Workers: 1, MaxAttempts: 2, Trace: sink}
-	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("x")}, flaky, nil, traceReducer()); err != nil {
+	if _, err := Run(context.Background(), cfg, docsInput([]string{"x"}, 1), flaky, nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -110,9 +105,9 @@ func TestTraceRetries(t *testing.T) {
 
 func TestTraceFailureEndsJob(t *testing.T) {
 	sink := &MemorySink{}
-	bad := FrameMapperFunc(func(rec []byte, emit EmitPoint) error { return errors.New("fatal") })
+	bad := BlockMapperFunc(func(*points.Block, EmitPoint) error { return errors.New("fatal") })
 	cfg := Config{Trace: sink}
-	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("x")}, bad, nil, traceReducer()); err == nil {
+	if _, err := Run(context.Background(), cfg, docsInput([]string{"x"}, 1), bad, nil, traceReducer()); err == nil {
 		t.Fatal("job should fail")
 	}
 	events := sink.Events()
@@ -126,7 +121,7 @@ func TestJSONSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONSink(&buf)
 	cfg := Config{Name: "jsonjob", Workers: 1, Trace: sink}
-	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), nil, traceReducer()); err != nil {
+	if _, err := Run(context.Background(), cfg, docsInput([]string{"a"}, 1), traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -146,7 +141,7 @@ func TestJSONSink(t *testing.T) {
 
 func TestNoTraceNoPanic(t *testing.T) {
 	cfg := Config{} // Trace nil
-	if _, err := RunFrames(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), nil, traceReducer()); err != nil {
+	if _, err := Run(context.Background(), cfg, docsInput([]string{"a"}, 1), traceMapper(), nil, traceReducer()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -41,76 +41,6 @@ func Decode(b []byte) (Point, error) {
 	return p, nil
 }
 
-// DecodeInto decodes like Decode but reuses dst's backing array when its
-// capacity suffices, allocating only on growth. The returned slice aliases
-// dst; callers that retain the point across calls must copy it. This is
-// the mapper hot path, where the decoded point only lives for one Assign.
-func DecodeInto(dst Point, b []byte) (Point, error) {
-	d, n := binary.Uvarint(b)
-	if n <= 0 || !canonicalUvarint(d, n) {
-		return nil, fmt.Errorf("points: bad dimension header")
-	}
-	const maxDim = 1 << 20
-	if d > maxDim {
-		return nil, fmt.Errorf("points: implausible dimension %d", d)
-	}
-	rest := b[n:]
-	if len(rest) != int(d)*8 {
-		return nil, fmt.Errorf("points: encoded point has %d payload bytes, want %d", len(rest), d*8)
-	}
-	if uint64(cap(dst)) < d {
-		dst = make(Point, d)
-	} else {
-		dst = dst[:d]
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
-	}
-	return dst, nil
-}
-
-// AppendDecode decodes an encoded point directly into blk, skipping the
-// intermediate Point allocation — the bulk-ingest path of the flat-memory
-// reducers. On a dimension-inferring block the first append fixes the
-// dimension; later mismatches (and all framing faults Decode rejects) are
-// errors.
-func AppendDecode(blk *Block, b []byte) error {
-	d, n := binary.Uvarint(b)
-	if n <= 0 || !canonicalUvarint(d, n) {
-		return fmt.Errorf("points: bad dimension header")
-	}
-	const maxDim = 1 << 20
-	if d == 0 || d > maxDim {
-		return fmt.Errorf("points: implausible dimension %d", d)
-	}
-	rest := b[n:]
-	if len(rest) != int(d)*8 {
-		return fmt.Errorf("points: encoded point has %d payload bytes, want %d", len(rest), d*8)
-	}
-	if blk.dim == 0 && len(blk.coords) == 0 {
-		blk.dim = int(d)
-	}
-	if int(d) != blk.dim {
-		return fmt.Errorf("points: decoding %d-dim point into %d-dim block", d, blk.dim)
-	}
-	// Grow once and decode with indexed stores: one capacity check per
-	// point instead of one per coordinate.
-	lo := len(blk.coords)
-	need := lo + int(d)
-	if cap(blk.coords) >= need {
-		blk.coords = blk.coords[:need]
-	} else {
-		grown := make([]float64, need, 2*need)
-		copy(grown, blk.coords)
-		blk.coords = grown
-	}
-	row := blk.coords[lo:need]
-	for i := range row {
-		row[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
-	}
-	return nil
-}
-
 // EncodeSet serializes a whole set, each point length-prefixed, for bulk
 // transfer over RPC.
 func EncodeSet(s Set) []byte {

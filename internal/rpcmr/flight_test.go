@@ -2,12 +2,12 @@ package rpcmr
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/points"
 	"repro/internal/telemetry"
 )
 
@@ -19,23 +19,32 @@ var flightJobsOnce sync.Once
 func ensureFlightJobs() {
 	ensureJobs()
 	flightJobsOnce.Do(func() {
-		// slowtail: each record is a sleep duration in milliseconds, so the
+		// slowtail: each row is a sleep duration in milliseconds, so the
 		// input controls the task-duration distribution exactly.
 		RegisterJob("slowtail", func(params []byte) (Job, error) {
 			return Job{
-				FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-					ms, err := strconv.Atoi(string(rec))
-					if err != nil {
-						return err
+				BlockMapper: mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
+					for i := 0; i < blk.Len(); i++ {
+						ms := blk.Row(i)[0]
+						time.Sleep(time.Duration(ms) * time.Millisecond)
+						emit(0, []float64{ms})
 					}
-					time.Sleep(time.Duration(ms) * time.Millisecond)
-					emit(0, []float64{float64(ms)})
 					return nil
 				}),
-				FrameReducer: sumFrames,
+				FrameFolder: sumFrames,
 			}, nil
 		})
 	})
+}
+
+// sleepInput holds one row per map task (at SplitSize 1): its sleep in
+// milliseconds.
+func sleepInput(ms ...float64) *points.Block {
+	blk := points.NewBlock(1, len(ms))
+	for _, v := range ms {
+		blk.AppendRow([]float64{v})
+	}
+	return blk
 }
 
 // spanIndex groups a tracer's spans for assertions: name → spans, plus
@@ -78,10 +87,7 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 	tr := telemetry.NewTracer()
 	rec := telemetry.NewRecorder("stitch")
 	ctx := telemetry.WithRecorder(telemetry.WithTracer(context.Background(), tr), rec)
-	input := [][]byte{
-		[]byte("30"), []byte("30"), []byte("30"),
-		[]byte("30"), []byte("30"), []byte("30"),
-	}
+	input := sleepInput(30, 30, 30, 30, 30, 30)
 	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 2}, input); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +98,8 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 		t.Fatalf("job spans = %d, want 1", len(jobs))
 	}
 	job := jobs[0]
-	if got := len(idx.byName["map-task"]); got != len(input) {
-		t.Errorf("map-task spans = %d, want %d", got, len(input))
+	if got := len(idx.byName["map-task"]); got != input.Len() {
+		t.Errorf("map-task spans = %d, want %d", got, input.Len())
 	}
 	if got := len(idx.byName["reduce-task"]); got != 2 {
 		t.Errorf("reduce-task spans = %d, want 2", got)
@@ -148,10 +154,7 @@ func TestRetriedTaskSpansOnce(t *testing.T) {
 	tr := telemetry.NewTracer()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	input := [][]byte{
-		[]byte("40"), []byte("40"), []byte("40"),
-		[]byte("40"), []byte("40"), []byte("40"),
-	}
+	input := sleepInput(40, 40, 40, 40, 40, 40)
 	if _, err := master.Run(telemetry.WithTracer(ctx, tr),
 		JobSpec{Name: "slowtail", Reducers: 2}, input); err != nil {
 		t.Fatal(err)
@@ -206,7 +209,7 @@ func TestStragglerDetection(t *testing.T) {
 	tr := telemetry.NewTracer()
 	rec := telemetry.NewRecorder("slowtail")
 	ctx := telemetry.WithRecorder(telemetry.WithTracer(context.Background(), tr), rec)
-	input := [][]byte{[]byte("5"), []byte("5"), []byte("5"), []byte("400")}
+	input := sleepInput(5, 5, 5, 400)
 	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 1}, input); err != nil {
 		t.Fatal(err)
 	}

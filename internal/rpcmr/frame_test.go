@@ -28,42 +28,33 @@ func ensureFrameJobs() {
 		// combiner on the assembled block, per-partition skyline in reduce.
 		RegisterJob("skyline-frame", func(params []byte) (Job, error) {
 			return Job{
-				FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-					p, err := points.Decode(rec)
-					if err != nil {
-						return err
-					}
-					emit(int(p[0])%frameParts, p)
-					return nil
-				}),
-				FrameCombiner: func(partition int, blk *points.Block) (*points.Block, error) {
-					return skyline.BlockBNL(blk), nil
-				},
-				FrameReducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-					sky := skyline.BlockBNL(blk)
-					for i := 0; i < sky.Len(); i++ {
-						emit(partition, sky.Row(i))
+				BlockMapper: mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
+					for i := 0; i < blk.Len(); i++ {
+						row := blk.Row(i)
+						emit(int(row[0])%frameParts, row)
 					}
 					return nil
 				}),
+				FrameCombiner: mapreduce.KernelCombiner(skyline.BlockBNL),
+				FrameFolder:   mapreduce.KernelFolder(skyline.BlockBNL),
 			}, nil
 		})
 	})
 }
 
 // frameClusterInput builds a duplicate-heavy dataset.
-func frameClusterInput(n, d int, seed int64) [][]byte {
+func frameClusterInput(n, d int, seed int64) *points.Block {
 	rng := rand.New(rand.NewSource(seed))
-	input := make([][]byte, 0, n+n/5)
+	input := points.NewBlock(d, n+n/5)
+	p := make([]float64, d)
 	for i := 0; i < n; i++ {
-		p := make(points.Point, d)
 		for j := range p {
 			p[j] = float64(rng.Intn(30))
 		}
-		input = append(input, points.Encode(p))
+		input.AppendRow(p)
 	}
 	for i := 0; i < n/5; i++ {
-		input = append(input, append([]byte(nil), input[i]...))
+		input.AppendRow(append(p[:0:0], input.Row(i)...))
 	}
 	return input
 }
@@ -98,11 +89,7 @@ func TestFramedJobMatchesClassic(t *testing.T) {
 		t.Fatal(err)
 	}
 	routed := map[int]points.Set{}
-	for _, rec := range input {
-		p, err := points.Decode(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range input.ToSet() {
 		routed[int(p[0])%frameParts] = append(routed[int(p[0])%frameParts], p)
 	}
 	if len(res.Blocks) != len(routed) {
@@ -146,7 +133,7 @@ func TestFramedShuffleMetrics(t *testing.T) {
 	// Payload semantics: combiner output is at most the input, so bytes
 	// must stay below the raw coordinate volume plus headers — far below
 	// any gob-envelope figure for the same traffic.
-	rawCoords := int64(len(input) * 3 * 8)
+	rawCoords := int64(input.Len() * 3 * 8)
 	if total > rawCoords+rawCoords/2 {
 		t.Fatalf("shuffle bytes %d exceed plausible payload bound %d", total, rawCoords+rawCoords/2)
 	}
@@ -181,5 +168,30 @@ func TestFramedWorkerCrashRecovery(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("empty skyline after crash recovery")
+	}
+}
+
+// TestMapTaskAllocsIndependentOfRows: a worker map task decodes its input
+// frame into one block and maps it through pooled builders, so its
+// allocation count must not grow with the rows it carries.
+func TestMapTaskAllocsIndependentOfRows(t *testing.T) {
+	ensureJobs()
+	allocs := func(rows int) float64 {
+		docs := make([]string, rows)
+		for i := range docs {
+			docs[i] = testVocab[i%len(testVocab)]
+		}
+		task := TaskReply{Kind: TaskMap, JobName: "wordcount", Reducers: 2,
+			Input: points.AppendFrame(nil, 0, wordsInput(docs...))}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := executeMap(task); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(10_000)
+	t.Logf("map task allocs: %.0f at 1000 rows, %.0f at 10000 rows", small, large)
+	if d := large - small; d >= 64 || d <= -64 {
+		t.Fatalf("map task allocs %.0f at 1000 rows vs %.0f at 10000 rows: the worker allocates per row", small, large)
 	}
 }

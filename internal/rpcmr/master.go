@@ -22,7 +22,7 @@ type MasterConfig struct {
 	// TaskLease is how long a worker may hold a task before it is
 	// re-queued for another worker. Defaults to 30s.
 	TaskLease time.Duration
-	// SplitSize is records per map task. Defaults to 1000.
+	// SplitSize is input rows per map task. Defaults to 1000.
 	SplitSize int
 	// MaxTaskAttempts bounds re-executions of one task before the job is
 	// failed. Defaults to 5.
@@ -110,12 +110,12 @@ type Master struct {
 
 // jobState tracks one running job.
 type jobState struct {
-	spec      JobSpec
-	phase     TaskKind // TaskMap or TaskReduce
-	splitData [][][]byte
-	tasks     []*taskState
-	pending   []int // indexes of queued tasks of the current phase
-	done      int   // completed tasks of the current phase
+	spec    JobSpec
+	phase   TaskKind // TaskMap or TaskReduce
+	inputs  [][]byte // map task → its split, sealed as one frame
+	tasks   []*taskState
+	pending []int // indexes of queued tasks of the current phase
+	done    int   // completed tasks of the current phase
 	// frameOut[task][r] is map task's sealed stream for reducer r;
 	// frameStreams[r] gathers reducer r's streams in map-task order;
 	// outFrames[r] is reduce task r's output stream.
@@ -317,21 +317,33 @@ func (m *Master) WorkerCount() int {
 	return len(m.workers)
 }
 
-// Run executes one job across the connected workers and blocks until it
-// completes, fails, or ctx is cancelled. Only one job runs at a time;
+// Run executes one job over input (nil for none) across the connected
+// workers and blocks until it completes, fails, or ctx is cancelled.
+// Each map task gets MasterConfig.SplitSize consecutive rows, sealed once
+// as one frame in the job's codec. Only one job runs at a time;
 // concurrent Run calls return an error.
-func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobResult, error) {
+func (m *Master) Run(ctx context.Context, spec JobSpec, input *points.Block) (*JobResult, error) {
 	if spec.Reducers <= 0 {
 		spec.Reducers = 1
 	}
-	// Validate the job is instantiable on the master side too, so typos
-	// fail fast rather than on a worker.
-	if _, err := lookupJob(spec.Name, spec.Params); err != nil {
+	// Instantiate the job on the master side too, so typos fail fast
+	// rather than on a worker, and the input is sealed in its codec.
+	job, err := lookupJob(spec.Name, spec.Params)
+	if err != nil {
 		return nil, err
+	}
+	rows := 0
+	if input != nil {
+		rows = input.Len()
+	}
+	var inputs [][]byte
+	for off := 0; off < rows; off += m.cfg.SplitSize {
+		split := input.Slice(off, min(off+m.cfg.SplitSize, rows))
+		inputs = append(inputs, points.AppendFrameCodec(nil, len(inputs), split, job.Codec))
 	}
 	ctx, jobSpan := telemetry.StartSpan(ctx, "rpcmr-job:"+spec.Name,
 		telemetry.A("job", spec.Name), telemetry.A("reducers", spec.Reducers),
-		telemetry.A("records", len(input)))
+		telemetry.A("records", rows))
 	jobStart := time.Now()
 	endJob := func(result string, err error) {
 		if err != nil {
@@ -379,30 +391,21 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 		nextTrack:  1, // track 0 is the master's own timeline row
 		partStats:  make(map[int]mapreduce.PartStat),
 	}
-	// Build map tasks.
-	var splits [][][]byte
-	for off := 0; off < len(input); off += m.cfg.SplitSize {
-		end := off + m.cfg.SplitSize
-		if end > len(input) {
-			end = len(input)
-		}
-		splits = append(splits, input[off:end])
-	}
-	js.frameOut = make([][][]byte, len(splits))
-	for i := range splits {
+	js.frameOut = make([][][]byte, len(inputs))
+	for i := range inputs {
 		js.tasks = append(js.tasks, &taskState{id: i})
 		js.pending = append(js.pending, i)
 	}
-	js.splitData = splits
+	js.inputs = inputs
 	m.job = js
 	m.mu.Unlock()
 	m.cfg.Events.Info("job start", telemetry.A("job", spec.Name),
-		telemetry.A("records", len(input)), telemetry.A("reducers", spec.Reducers),
+		telemetry.A("records", rows), telemetry.A("reducers", spec.Reducers),
 		telemetry.A("trace", js.traceID))
 	m.cfg.Events.Info("phase start", telemetry.A("job", spec.Name),
-		telemetry.A("phase", "map"), telemetry.A("tasks", len(splits)))
+		telemetry.A("phase", "map"), telemetry.A("tasks", len(inputs)))
 
-	if len(splits) == 0 {
+	if len(inputs) == 0 {
 		// Degenerate empty input: go straight to reduce with no groups.
 		m.mu.Lock()
 		m.startReducePhase(js)
@@ -435,7 +438,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 	// the job span.
 	redDur := time.Since(js.redStart)
 	telemetry.RecordSpan(ctx, "map", js.mapStart, js.mapDur,
-		telemetry.A("tasks", len(js.splitData)))
+		telemetry.A("tasks", len(js.inputs)))
 	telemetry.RecordSpan(ctx, "shuffle", js.mapStart.Add(js.mapDur), js.shuffleDur)
 	telemetry.RecordSpan(ctx, "reduce", js.redStart, redDur,
 		telemetry.A("tasks", spec.Reducers))

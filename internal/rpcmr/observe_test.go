@@ -2,6 +2,7 @@ package rpcmr
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -83,8 +84,8 @@ func TestWorkerSideTaskMetrics(t *testing.T) {
 
 	maps := reg.Counter("rpcmr_worker_tasks_total",
 		telemetry.L("kind", "map"), telemetry.L("result", "ok")).Value()
-	if maps != int64(len(wcInput)) {
-		t.Errorf("map task counter = %d, want %d", maps, len(wcInput))
+	if maps != int64(wcInput.Len()) {
+		t.Errorf("map task counter = %d, want %d", maps, wcInput.Len())
 	}
 	reduces := reg.Counter("rpcmr_worker_tasks_total",
 		telemetry.L("kind", "reduce"), telemetry.L("result", "ok")).Value()
@@ -97,7 +98,7 @@ func TestWorkerSideTaskMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`rpcmr_worker_task_seconds_count{kind="map"} 4`,
+		fmt.Sprintf(`rpcmr_worker_task_seconds_count{kind="map"} %d`, wcInput.Len()),
 		`rpcmr_worker_task_seconds_count{kind="reduce"} 2`,
 	} {
 		if !strings.Contains(sb.String(), want) {
@@ -129,7 +130,7 @@ func TestMasterClusterGauges(t *testing.T) {
 		"rpcmr_queue_depth 0",
 		`rpcmr_worker_tasks_done{worker="w0"}`,
 		`rpcmr_worker_tasks_done{worker="w1"}`,
-		"rpcmr_tasks_done_total 6",
+		fmt.Sprintf("rpcmr_tasks_done_total %d", wcInput.Len()+2), // map tasks (SplitSize 1) + 2 reduce tasks
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

@@ -36,28 +36,24 @@ func init() {
 	gob.Register(false)
 }
 
-// Job bundles the user code of one MapReduce job. Map output crosses the
-// wire as sealed point frames (partition + count + contiguous
-// coordinates), one batched payload per reducer, and reduce input
-// arrives as whole frame streams.
+// Job bundles the user code of one MapReduce job — the same map and
+// reduce halves the in-process engine runs. Map input arrives as one
+// sealed point frame per task, map output crosses the wire as sealed
+// frames (partition + count + contiguous coordinates), one batched
+// payload per reducer, and reduce input arrives as whole frame streams.
 type Job struct {
-	// FrameMapper routes each input record's points to partitions;
-	// FrameCombiner optionally folds each assembled block worker-side
-	// before sealing; FrameReducer folds one partition's assembled block.
-	FrameMapper   mapreduce.FrameMapper
+	// BlockMapper routes each input block's rows to partitions;
+	// FrameCombiner optionally folds each partition's block worker-side
+	// before sealing; FrameFolder creates the per-partition folds that
+	// reduce tasks feed their frames into, one frame at a time.
+	BlockMapper   mapreduce.BlockMapper
 	FrameCombiner mapreduce.FrameCombiner
-	FrameReducer  mapreduce.FrameReducer
+	FrameFolder   mapreduce.FrameFolder
 
-	// FrameFolder, when non-nil, switches reduce tasks to the streaming
-	// fold path: the worker feeds frames into per-partition folds one at
-	// a time instead of assembling full blocks, bounding reduce memory by
-	// the folds' budget. Takes precedence over FrameReducer.
-	FrameFolder mapreduce.FrameFolder
-
-	// Codec selects the wire codec for frames the worker seals (map
-	// output and reduce output): the zero value keeps the raw v1 frames,
-	// points.FrameAuto enables the bit-packed v2 encoding wherever it is
-	// smaller.
+	// Codec selects the wire codec for every frame of the job — the map
+	// input the master seals, map output and reduce output: the zero
+	// value keeps the raw v1 frames, points.FrameAuto enables the
+	// bit-packed v2 encoding wherever it is smaller.
 	Codec points.FrameCodec
 }
 
@@ -97,8 +93,8 @@ func lookupJob(name string, params []byte) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("rpcmr: instantiating job %q: %w", name, err)
 	}
-	if job.FrameMapper == nil || job.FrameReducer == nil {
-		return Job{}, fmt.Errorf("rpcmr: job %q must provide a frame mapper and reducer", name)
+	if job.BlockMapper == nil || job.FrameFolder == nil {
+		return Job{}, fmt.Errorf("rpcmr: job %q must provide a block mapper and frame folder", name)
 	}
 	return job, nil
 }
@@ -119,7 +115,7 @@ type TaskKind int
 const (
 	// TaskWait tells the worker to back off briefly and poll again.
 	TaskWait TaskKind = iota
-	// TaskMap carries input records to map (and combine).
+	// TaskMap carries one input split to map (and combine).
 	TaskMap
 	// TaskReduce carries one reducer's frame streams to reduce.
 	TaskReduce
@@ -154,8 +150,9 @@ type TaskReply struct {
 	JobName  string
 	Params   []byte
 	Reducers int
-	// Map payload
-	Records [][]byte
+	// Input is the map payload: the task's split of the input rows,
+	// sealed by the master as one frame in the job's codec.
+	Input []byte
 	// Reduce payload: sealed frame streams for this reducer, one per
 	// contributing map task, in map-task order.
 	FrameStreams [][]byte

@@ -15,9 +15,10 @@ import (
 	"repro/internal/points"
 )
 
-// testVocab numbers every word the test jobs see: the word-count job
-// routes each word to its own partition and counts it as a sum of [1]
-// points, so every worker must agree on the numbering.
+// testVocab numbers every word the test jobs see: the input holds one
+// row per word carrying its vocabulary id, and the word-count job routes
+// each row to the word's own partition and counts it as a sum of [1]
+// points.
 var testVocab = func() []string {
 	words := strings.Fields("the quick brown fox lazy dog jumps and common x y z")
 	for i := 0; i < 13; i++ {
@@ -27,15 +28,36 @@ var testVocab = func() []string {
 	return words
 }()
 
-// sumFrames emits one [sum] point per partition.
-var sumFrames = mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
+// sumBlock folds a block to its one-row first-column sum.
+func sumBlock(blk *points.Block) *points.Block {
 	total := 0.0
 	for i := 0; i < blk.Len(); i++ {
 		total += blk.Row(i)[0]
 	}
-	emit(partition, []float64{total})
-	return nil
-})
+	out := points.NewBlock(1, 1)
+	out.AppendRow([]float64{total})
+	return out
+}
+
+// sumFrames emits one [sum] point per partition.
+var sumFrames = mapreduce.KernelFolder(sumBlock)
+
+// wordsInput holds docs as one row per word: the word's vocabulary id.
+func wordsInput(docs ...string) *points.Block {
+	blk := points.NewBlock(1, 0)
+	for _, d := range docs {
+		for _, w := range strings.Fields(d) {
+			blk.AppendRow([]float64{float64(sort.SearchStrings(testVocab, w))})
+		}
+	}
+	return blk
+}
+
+// failFold is a fold whose Finish always fails.
+type failFold struct{}
+
+func (failFold) Absorb(*points.Block) error       { return nil }
+func (failFold) Finish(mapreduce.EmitPoint) error { return errors.New("deterministic reduce failure") }
 
 // registerTestJobs installs the word-count and failing jobs used across
 // tests. Call once per test via ensureJobs.
@@ -44,40 +66,29 @@ var jobsOnce sync.Once
 func ensureJobs() {
 	jobsOnce.Do(func() {
 		resetRegistryForTest()
-		wordID := make(map[string]int, len(testVocab))
-		for i, w := range testVocab {
-			wordID[w] = i
-		}
 		RegisterJob("wordcount", func(params []byte) (Job, error) {
 			return Job{
-				FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-					for _, w := range strings.Fields(string(rec)) {
-						id, ok := wordID[w]
-						if !ok {
-							return fmt.Errorf("word %q not in the test vocabulary", w)
+				BlockMapper: mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
+					one := []float64{1}
+					for i := 0; i < blk.Len(); i++ {
+						id := int(blk.Row(i)[0])
+						if id < 0 || id >= len(testVocab) {
+							return fmt.Errorf("word id %d not in the test vocabulary", id)
 						}
-						emit(id, []float64{1})
+						emit(id, one)
 					}
 					return nil
 				}),
-				FrameCombiner: func(partition int, blk *points.Block) (*points.Block, error) {
-					out := points.NewBlock(0, 1)
-					if err := sumFrames(partition, blk, func(_ int, row []float64) { out.AppendRow(row) }); err != nil {
-						return nil, err
-					}
-					return out, nil
-				},
-				FrameReducer: sumFrames,
+				FrameCombiner: mapreduce.KernelCombiner(sumBlock),
+				FrameFolder:   sumFrames,
 			}, nil
 		})
 		RegisterJob("always-fails", func(params []byte) (Job, error) {
 			return Job{
-				FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+				BlockMapper: mapreduce.BlockMapperFunc(func(*points.Block, mapreduce.EmitPoint) error {
 					return errors.New("deterministic task failure")
 				}),
-				FrameReducer: mapreduce.FrameReducerFunc(func(int, *points.Block, mapreduce.EmitPoint) error {
-					return nil
-				}),
+				FrameFolder: func(int) mapreduce.FrameFold { return failFold{} },
 			}, nil
 		})
 		RegisterJob("bad-factory", func(params []byte) (Job, error) {
@@ -129,12 +140,12 @@ func newCluster(t *testing.T, mcfg MasterConfig, n int, wcfg WorkerConfig) (*Mas
 	return master, workers, &wg
 }
 
-var wcInput = [][]byte{
-	[]byte("the quick brown fox"),
-	[]byte("the lazy dog"),
-	[]byte("the quick dog jumps"),
-	[]byte("fox and dog and fox"),
-}
+var wcInput = wordsInput(
+	"the quick brown fox",
+	"the lazy dog",
+	"the quick dog jumps",
+	"fox and dog and fox",
+)
 
 var wcWant = map[string]int{
 	"the": 3, "quick": 2, "brown": 1, "fox": 3, "lazy": 1,

@@ -99,7 +99,7 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	}
 	switch js.phase {
 	case TaskMap:
-		reply.Records = js.splitData[id]
+		reply.Input = js.inputs[id]
 	case TaskReduce:
 		reply.FrameStreams = js.frameStreams[id]
 	}

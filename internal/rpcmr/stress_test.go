@@ -14,7 +14,7 @@ import (
 func TestStressManyTasksWithChaos(t *testing.T) {
 	ensureJobs()
 	master, err := NewMaster(MasterConfig{
-		SplitSize: 1,
+		SplitSize: 2, // one two-word doc per task
 		TaskLease: 300 * time.Millisecond,
 	})
 	if err != nil {
@@ -39,10 +39,11 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 		go func() { _ = w.Run(context.Background()) }()
 	}
 
-	input := make([][]byte, 200)
-	for i := range input {
-		input[i] = []byte(fmt.Sprintf("word%d common", i%13))
+	docs := make([]string, 200)
+	for i := range docs {
+		docs[i] = fmt.Sprintf("word%d common", i%13)
 	}
+	input := wordsInput(docs...)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 4}, input)
@@ -66,7 +67,7 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 func TestStressSequentialJobsAfterChaos(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 2, TaskLease: 300 * time.Millisecond}, 3,
 		WorkerConfig{PollInterval: 2 * time.Millisecond})
-	healthyInput := [][]byte{[]byte("x y"), []byte("y z"), []byte("z x")}
+	healthyInput := wordsInput("x y", "y z", "z x")
 	for round := 0; round < 5; round++ {
 		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, healthyInput)
 		if err != nil {

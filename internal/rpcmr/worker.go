@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/points"
 	"repro/internal/telemetry"
 )
 
@@ -236,7 +237,8 @@ func (w *Worker) runMap(task TaskReply) (TaskReply, error) {
 		Final:    w.willStop(),
 		TraceID:  task.TraceID,
 	}
-	span, finish := w.taskSpan(task, "map-task", len(task.Records))
+	_, rows, _ := points.FrameCount(task.Input)
+	span, finish := w.taskSpan(task, "map-task", rows)
 	start := time.Now()
 	w.stall()
 	var err error
@@ -282,17 +284,25 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 	return reply.Next, w.bumpCompleted()
 }
 
-// executeMap runs one map task: the shared frame builder
-// (mapreduce.BuildFrames, pooled scratch blocks) maps and combines the
-// records, and the sealed per-reducer streams ship as single batched
-// payloads — one gob slice per reducer, byte-identical to what the
-// in-process engine would shuffle.
+// executeMap runs one map task: the input frame is decoded into a block
+// and the in-process engine's map half (mapreduce.MapFrames, pooled
+// scratch blocks) maps and combines it; the sealed per-reducer streams
+// ship as single batched payloads — one gob slice per reducer,
+// byte-identical to what the in-process engine would shuffle.
 func executeMap(task TaskReply) ([][]byte, map[int]mapreduce.PartStat, error) {
 	job, err := lookupJob(task.JobName, task.Params)
 	if err != nil {
 		return nil, nil, err
 	}
-	streams, st, err := mapreduce.BuildFrames(task.Records, task.Reducers, job.FrameMapper, job.FrameCombiner, job.Codec)
+	blk := points.NewBlock(0, 0)
+	_, rest, err := points.DecodeFrame(blk, task.Input)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("rpcmr: bad map input frame: %w", err)
+	}
+	streams, st, err := mapreduce.MapFrames(blk, task.Reducers, job.BlockMapper, job.FrameCombiner, job.Codec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -300,22 +310,17 @@ func executeMap(task TaskReply) ([][]byte, map[int]mapreduce.PartStat, error) {
 }
 
 // executeReduce folds one reducer's frame streams into a single output
-// stream via the shared mapreduce.ReduceFrames — or, when the job carries
-// a FrameFolder, via the streaming mapreduce.ReduceFramesStream, which
-// never assembles a partition's full block.
+// stream via the in-process engine's reduce half
+// (mapreduce.ReduceFramesStream), one frame at a time.
 func executeReduce(task TaskReply) ([]byte, error) {
 	job, err := lookupJob(task.JobName, task.Params)
 	if err != nil {
 		return nil, err
 	}
-	if job.FrameFolder != nil {
-		srcs := make([]mapreduce.FrameSource, 0, len(task.FrameStreams))
-		for _, stream := range task.FrameStreams {
-			srcs = append(srcs, mapreduce.StreamFrameSource(stream))
-		}
-		out, _, err := mapreduce.ReduceFramesStream(srcs, job.FrameFolder, job.Codec)
-		return out, err
+	srcs := make([]mapreduce.FrameSource, 0, len(task.FrameStreams))
+	for _, stream := range task.FrameStreams {
+		srcs = append(srcs, mapreduce.StreamFrameSource(stream))
 	}
-	out, _, err := mapreduce.ReduceFrames(task.FrameStreams, job.FrameReducer, job.Codec)
+	out, _, err := mapreduce.ReduceFramesStream(srcs, job.FrameFolder, job.Codec)
 	return out, err
 }

@@ -3,6 +3,7 @@ package skyjob
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/partition"
@@ -64,11 +65,12 @@ func TestSpecBudgetTravels(t *testing.T) {
 	if back.ReducerBudgetBytes != spec.ReducerBudgetBytes || back.Codec != spec.Codec {
 		t.Fatalf("spec round-trip lost budget/codec: %+v", back)
 	}
-	if back.folder() == nil {
-		t.Fatal("budgeted spec produced no folder")
+	foldType := func(s Spec) string { return fmt.Sprintf("%T", s.folder(skyline.BlockBNL)(0)) }
+	if got := foldType(back); got != "*mapreduce.budgetedFrameFold" {
+		t.Fatalf("budgeted spec folds with %s", got)
 	}
 	back.ReducerBudgetBytes = 0
-	if back.folder() != nil {
-		t.Fatal("unbudgeted spec produced a folder")
+	if got := foldType(back); got != "*mapreduce.kernelFold" {
+		t.Fatalf("unbudgeted spec folds with %s", got)
 	}
 }

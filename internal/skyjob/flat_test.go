@@ -12,16 +12,20 @@ import (
 	"repro/internal/skyline"
 )
 
-// reduceBlock runs a job's frame reducer over one partition's block and
-// collects what it emits.
-func reduceBlock(t *testing.T, r mapreduce.FrameReducer, s points.Set) points.Set {
+// reduceBlock folds one partition's block through a job's frame folder
+// and collects what it emits.
+func reduceBlock(t *testing.T, folder mapreduce.FrameFolder, s points.Set) points.Set {
 	t.Helper()
 	blk, ok := points.BlockOf(s)
 	if !ok {
 		t.Fatal("mixed-dimension test set")
 	}
+	fold := folder(0)
+	if err := fold.Absorb(blk); err != nil {
+		t.Fatal(err)
+	}
 	var out points.Set
-	err := r.ReduceFrame(0, blk, func(_ int, row []float64) {
+	err := fold.Finish(func(_ int, row []float64) {
 		out = append(out, points.Point(row).Clone())
 	})
 	if err != nil {
@@ -59,7 +63,7 @@ func TestFlatAndClassicReducersAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for stage, got := range map[string]points.Set{
-				"reducer":  reduceBlock(t, job.FrameReducer, s),
+				"reducer":  reduceBlock(t, job.FrameFolder, s),
 				"combiner": combined.ToSet(),
 			} {
 				sortSet(got)
@@ -119,7 +123,7 @@ func TestSpecClassicKernelTravels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kernel %v: %v", alg, err)
 		}
-		got := reduceBlock(t, job.FrameReducer, data)
+		got := reduceBlock(t, job.FrameFolder, data)
 		sortSet(got)
 		if len(got) != len(want) {
 			t.Fatalf("kernel %v: worker reducer emitted %d points, BNL %d", alg, len(got), len(want))

@@ -3,6 +3,7 @@ package skyjob
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/partition"
@@ -65,7 +66,7 @@ func TestClusterFrameMatchesOracle(t *testing.T) {
 
 // TestSpecClassicShuffleTravels: the shuffle settings must round-trip
 // through the JSON params so every worker shuffles the same way. A fitted
-// spec keeps the raw v1 frames and the assemble-everything reducers; a
+// spec keeps the raw v1 frames and the assembling kernel folds; a
 // codec and a reducer budget must reach both jobs a worker builds.
 func TestSpecClassicShuffleTravels(t *testing.T) {
 	data := uniformSet(3, 50, 3)
@@ -74,7 +75,7 @@ func TestSpecClassicShuffleTravels(t *testing.T) {
 		t.Fatal(err)
 	}
 	factories := map[string]func([]byte) (rpcmr.Job, error){"partition": newPartitionJob, "merge": newMergeJob}
-	check := func(spec Spec, wantCodec points.FrameCodec, wantFolder bool) {
+	check := func(spec Spec, wantCodec points.FrameCodec, wantBudget bool) {
 		t.Helper()
 		params, err := json.Marshal(spec)
 		if err != nil {
@@ -85,13 +86,14 @@ func TestSpecClassicShuffleTravels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			budgeted := fmt.Sprintf("%T", job.FrameFolder(0)) == "*mapreduce.budgetedFrameFold"
+			if budgeted != wantBudget {
+				t.Errorf("%s job budgeted folder = %v, want %v", name, budgeted, wantBudget)
+			}
 			if job.Codec != wantCodec {
 				t.Errorf("%s job codec = %v, want %v", name, job.Codec, wantCodec)
 			}
-			if (job.FrameFolder != nil) != wantFolder {
-				t.Errorf("%s job folder set = %v, want %v", name, job.FrameFolder != nil, wantFolder)
-			}
-			if job.FrameMapper == nil || job.FrameCombiner == nil || job.FrameReducer == nil {
+			if job.BlockMapper == nil || job.FrameCombiner == nil || job.FrameFolder == nil {
 				t.Errorf("%s job is missing frame code: %+v", name, job)
 			}
 		}

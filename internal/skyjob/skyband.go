@@ -29,10 +29,10 @@ func init() {
 	rpcmr.RegisterJob(SkybandMergeJobName, newSkybandMergeJob)
 }
 
-// bandReducer keeps, per partition, the points with fewer than k
+// bandFolder keeps, per partition, the points with fewer than k
 // dominators within that partition.
-func bandReducer(k int) mapreduce.FrameReducer {
-	return mapreduce.KernelReducer(skyline.BlockFuncOf(func(s points.Set) points.Set {
+func bandFolder(k int) mapreduce.FrameFolder {
+	return mapreduce.KernelFolder(skyline.BlockFuncOf(func(s points.Set) points.Set {
 		band, _ := skyline.Skyband(s, k) // the job factories reject k < 1
 		return band
 	}))
@@ -61,7 +61,7 @@ func newSkybandPartitionJob(params []byte) (rpcmr.Job, error) {
 	// No combiner: the local band must see the whole partition; a
 	// per-map-task band would be sound but redundant (see the in-process
 	// driver's skyband for the argument).
-	return rpcmr.Job{FrameMapper: assignMapper(part), FrameReducer: bandReducer(spec.K)}, nil
+	return rpcmr.Job{BlockMapper: assignMapper(part), FrameFolder: bandFolder(spec.K)}, nil
 }
 
 func newSkybandMergeJob(params []byte) (rpcmr.Job, error) {
@@ -69,7 +69,7 @@ func newSkybandMergeJob(params []byte) (rpcmr.Job, error) {
 	if err != nil {
 		return rpcmr.Job{}, err
 	}
-	return rpcmr.Job{FrameMapper: globalMapper, FrameReducer: bandReducer(spec.K)}, nil
+	return rpcmr.Job{BlockMapper: globalMapper, FrameFolder: bandFolder(spec.K)}, nil
 }
 
 // ComputeSkyband runs the distributed two-job k-skyband on a live cluster.
@@ -85,15 +85,15 @@ func ComputeSkyband(ctx context.Context, master *rpcmr.Master, data points.Set, 
 	if err != nil {
 		return nil, err
 	}
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
+	input, ok := points.BlockOf(data)
+	if !ok {
+		return nil, fmt.Errorf("skyjob: input mixes dimensionalities")
 	}
 	res1, err := master.Run(ctx, rpcmr.JobSpec{Name: SkybandPartitionJobName, Params: params, Reducers: reducers}, input)
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: skyband partitioning job: %w", err)
 	}
-	res2, err := master.Run(ctx, rpcmr.JobSpec{Name: SkybandMergeJobName, Params: params, Reducers: 1}, encodeRows(res1.Blocks))
+	res2, err := master.Run(ctx, rpcmr.JobSpec{Name: SkybandMergeJobName, Params: params, Reducers: 1}, concatRows(res1.Blocks))
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: skyband merging job: %w", err)
 	}

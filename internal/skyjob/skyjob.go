@@ -107,39 +107,37 @@ func init() {
 	rpcmr.RegisterJob(MergeJobName, newMergeJob)
 }
 
-// folder returns the spec's streaming FrameFolder, or nil when the spec
-// is unbudgeted (keeping the assemble-everything reducers).
-func (s Spec) folder() mapreduce.FrameFolder {
+// folder returns the spec's reduce-side FrameFolder: the memory-budgeted
+// fold when the spec carries a budget, otherwise kernel over each
+// assembled partition.
+func (s Spec) folder(kernel skyline.BlockFunc) mapreduce.FrameFolder {
 	if s.ReducerBudgetBytes <= 0 {
-		return nil
+		return mapreduce.KernelFolder(kernel)
 	}
 	return mapreduce.BudgetedFolder(s.Dim, s.ReducerBudgetBytes, "", s.Codec)
 }
 
-// assignMapper decodes each record and routes it to its partition.
-func assignMapper(part partition.Partitioner) mapreduce.FrameMapper {
-	return mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
+// assignMapper routes each row to its partition.
+func assignMapper(part partition.Partitioner) mapreduce.BlockMapper {
+	return mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
+		for i := 0; i < blk.Len(); i++ {
+			row := blk.Row(i)
+			id, err := part.Assign(points.Point(row))
+			if err != nil {
+				return err
+			}
+			emit(id, row)
 		}
-		id, err := part.Assign(p)
-		if err != nil {
-			return err
-		}
-		emit(id, p)
 		return nil
 	})
 }
 
-// globalMapper sends every record to the one global partition — paper
+// globalMapper sends every row to the one global partition — paper
 // line 13: output(null, si).
-var globalMapper = mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-	p, err := points.Decode(rec)
-	if err != nil {
-		return err
+var globalMapper = mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
+	for i := 0; i < blk.Len(); i++ {
+		emit(0, blk.Row(i))
 	}
-	emit(0, p)
 	return nil
 })
 
@@ -154,12 +152,11 @@ func newPartitionJob(params []byte) (rpcmr.Job, error) {
 	}
 	kernel := skyline.BlockByAlgorithm(spec.Kernel)
 	return rpcmr.Job{
-		FrameMapper: assignMapper(part),
+		BlockMapper: assignMapper(part),
 		// The local-skyline combiner runs directly on the assembled block
 		// before its frame is sealed for the wire.
 		FrameCombiner: mapreduce.KernelCombiner(kernel),
-		FrameReducer:  mapreduce.KernelReducer(kernel),
-		FrameFolder:   spec.folder(),
+		FrameFolder:   spec.folder(kernel),
 		Codec:         spec.Codec,
 	}, nil
 }
@@ -171,31 +168,27 @@ func newMergeJob(params []byte) (rpcmr.Job, error) {
 	}
 	kernel := skyline.BlockByAlgorithm(spec.Kernel)
 	return rpcmr.Job{
-		FrameMapper:   globalMapper,
+		BlockMapper:   globalMapper,
 		FrameCombiner: mapreduce.KernelCombiner(kernel),
 		// The single global reduce runs the parallel merge tree.
-		FrameReducer: mapreduce.KernelReducer(func(blk *points.Block) *points.Block {
+		FrameFolder: spec.folder(func(blk *points.Block) *points.Block {
 			return skyline.ParallelBlock(context.Background(), blk, 0)
 		}),
-		FrameFolder: spec.folder(),
-		Codec:       spec.Codec,
+		Codec: spec.Codec,
 	}, nil
 }
 
-// encodeRows encodes every row of a job's output blocks as one input
-// record, in ascending partition order.
-func encodeRows(blocks map[int]*points.Block) [][]byte {
+// concatRows stacks a job's output blocks into one block, in ascending
+// partition order — the next job's input.
+func concatRows(blocks map[int]*points.Block) *points.Block {
 	ids := make([]int, 0, len(blocks))
 	for id := range blocks {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var out [][]byte
+	out := points.NewBlock(0, 0)
 	for _, id := range ids {
-		blk := blocks[id]
-		for i := 0; i < blk.Len(); i++ {
-			out = append(out, points.Encode(points.Point(blk.Row(i))))
-		}
+		out.AppendBlock(blocks[id])
 	}
 	return out
 }
@@ -267,9 +260,9 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 			rec.EnsurePartitions(spec.Partitions)
 		}
 	}
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
+	input, ok := points.BlockOf(data)
+	if !ok {
+		return nil, fmt.Errorf("skyjob: input mixes dimensionalities")
 	}
 	partCtx, partSpan := telemetry.StartSpan(ctx, "partitioning-job")
 	res1, err := master.Run(partCtx, rpcmr.JobSpec{Name: PartitionJobName, Params: params, Reducers: reducers}, input)
@@ -283,7 +276,7 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 	for id, blk := range res1.Blocks {
 		local[id] = blk.ToSet()
 	}
-	mergeInput := encodeRows(res1.Blocks)
+	mergeInput := concatRows(res1.Blocks)
 	if reg := master.Metrics(); reg != nil {
 		for id, ls := range local {
 			reg.Gauge("skyline_partition_local_size",
@@ -299,7 +292,7 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 		rec.SetLocalSkyline(id, len(ls))
 	}
 	ev.Info("partitioning job done",
-		telemetry.A("local_skyline_points", len(mergeInput)),
+		telemetry.A("local_skyline_points", mergeInput.Len()),
 		telemetry.A("partitions_hit", len(local)))
 	mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merging-job")
 	res2, err := master.Run(mergeCtx, rpcmr.JobSpec{Name: MergeJobName, Params: params, Reducers: 1}, mergeInput)

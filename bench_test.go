@@ -361,6 +361,7 @@ func BenchmarkMergeTree(b *testing.B) {
 	for _, d := range benchKernelDims {
 		data := qws.Dataset(2012, benchLargeN, d)
 		partials := make([]points.Set, 0, chunks)
+		blocks := make([]*points.Block, 0, chunks)
 		step := (len(data) + chunks - 1) / chunks
 		for lo := 0; lo < len(data); lo += step {
 			hi := lo + step
@@ -368,6 +369,8 @@ func BenchmarkMergeTree(b *testing.B) {
 				hi = len(data)
 			}
 			partials = append(partials, skyline.FlatBNL(data[lo:hi]))
+			blk, _ := points.BlockOf(partials[len(partials)-1])
+			blocks = append(blocks, blk)
 		}
 		b.Run(fmt.Sprintf("d=%d/classic", d), func(b *testing.B) {
 			b.ReportAllocs()
@@ -384,7 +387,7 @@ func BenchmarkMergeTree(b *testing.B) {
 		b.Run(fmt.Sprintf("d=%d/flat", d), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(skyline.MergeSkylines(context.Background(), partials, 0)) == 0 {
+				if skyline.MergeTree(context.Background(), blocks, 0).Len() == 0 {
 					b.Fatal("empty skyline")
 				}
 			}

@@ -39,12 +39,12 @@ import (
 )
 
 type critpathRunRow struct {
-	Name            string             `json:"name"`
-	WallSeconds     float64            `json:"wall_seconds"`
-	MakespanSeconds float64            `json:"makespan_seconds"`
-	BottleneckPhase string             `json:"bottleneck_phase"`
-	StragglerWorker string             `json:"straggler_worker,omitempty"`
-	Stragglers      int                `json:"stragglers"`
+	Name            string              `json:"name"`
+	WallSeconds     float64             `json:"wall_seconds"`
+	MakespanSeconds float64             `json:"makespan_seconds"`
+	BottleneckPhase string              `json:"bottleneck_phase"`
+	StragglerWorker string              `json:"straggler_worker,omitempty"`
+	Stragglers      int                 `json:"stragglers"`
 	WhatIf          []critpath.Scenario `json:"whatif,omitempty"`
 }
 

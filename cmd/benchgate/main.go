@@ -228,9 +228,12 @@ func main() {
 
 	chunks := 16
 	var partials []points.Set
+	var blocks []*points.Block
 	for i := 0; i < chunks; i++ {
 		lo, hi := i*kn/chunks, (i+1)*kn/chunks
 		partials = append(partials, skyline.FlatBNL(kdata[lo:hi]))
+		blk, _ := points.BlockOf(partials[i])
+		blocks = append(blocks, blk)
 	}
 	rep.Kernels = append(rep.Kernels, row("merge_tree", kn, *d, *runs,
 		func() {
@@ -240,7 +243,7 @@ func main() {
 			}
 			skyline.BNL(union)
 		},
-		func() { skyline.MergeSkylines(ctx, partials, 0) }))
+		func() { skyline.MergeTree(ctx, blocks, 0) }))
 
 	rep.Pass = true
 	if !*quick {

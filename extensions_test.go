@@ -96,6 +96,9 @@ func TestLoadQWSPublic(t *testing.T) {
 	}
 }
 
+// TestHierarchicalMergePublic: a 256-byte reducer budget, far below the
+// local skylines' volume, makes the merge run in several rounds; the
+// skyline must not change.
 func TestHierarchicalMergePublic(t *testing.T) {
 	data := uniform(75, 1200, 3)
 	flat, err := Compute(context.Background(), data, Options{Method: Angle, Nodes: 8})
@@ -103,7 +106,7 @@ func TestHierarchicalMergePublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	hier, err := Compute(context.Background(), data, Options{
-		Method: Angle, Nodes: 8, HierarchicalMerge: true, MergeFanIn: 2,
+		Method: Angle, Nodes: 8, ReducerBudgetBytes: 256,
 	})
 	if err != nil {
 		t.Fatal(err)

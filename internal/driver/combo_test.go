@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"bytes"
 	"context"
 	"sync/atomic"
 	"testing"
@@ -42,18 +43,20 @@ func TestPartitionerOverride(t *testing.T) {
 func TestSpillPlusHierarchicalMerge(t *testing.T) {
 	data := uniformSet(102, 900, 3)
 	want := skyline.Naive(data)
-	got, _, err := Compute(context.Background(), data, Options{
-		Scheme:            partition.Angular,
-		Nodes:             8,
-		SpillDir:          t.TempDir(),
-		HierarchicalMerge: true,
-		MergeFanIn:        2,
+	got, stats, err := Compute(context.Background(), data, Options{
+		Scheme:             partition.Angular,
+		Nodes:              8,
+		SpillDir:           t.TempDir(),
+		ReducerBudgetBytes: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameMultiset(got, want) {
 		t.Error("spill + hierarchical merge changed the skyline")
+	}
+	if stats.MergeRounds < 2 {
+		t.Errorf("MergeRounds = %d, want >= 2", stats.MergeRounds)
 	}
 }
 
@@ -130,5 +133,65 @@ func TestOverridesHonouredEverywhere(t *testing.T) {
 	}
 	if !sameMultiset(got, skyline.BNL(data)) {
 		t.Error("ComputeStream with a kernel override is not exact")
+	}
+}
+
+// countingPartitioner wraps a partitioner and counts its Assign calls.
+type countingPartitioner struct {
+	partition.Partitioner
+	assigns atomic.Int64
+}
+
+func (c *countingPartitioner) Assign(p points.Point) (int, error) {
+	c.assigns.Add(1)
+	return c.Partitioner.Assign(p)
+}
+
+// TestIndexHonoursPartitionerOverride: BuildIndex and LoadIndex must
+// route later Adds through PartitionerOverride, not through a refit of
+// Scheme, and BuildIndex must fit no second partitioner.
+func TestIndexHonoursPartitionerOverride(t *testing.T) {
+	ctx := context.Background()
+	data := uniformSet(105, 600, 3)
+	hybrid, err := partition.FitAngularRadial(data, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := points.Point{0.5, 0.01, 0.02}
+	want, err := hybrid.Assign(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	built := &countingPartitioner{Partitioner: hybrid}
+	ix, err := BuildIndex(ctx, data, Options{Scheme: partition.Angular, PartitionerOverride: built})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.View().Partitions(); got != hybrid.Partitions() {
+		t.Errorf("index has %d partitions, override has %d", got, hybrid.Partitions())
+	}
+	before := built.assigns.Load()
+	if id, _, err := ix.Add(fresh); err != nil || id != want {
+		t.Errorf("Add: partition %d, err %v; override assigns %d", id, err, want)
+	}
+	if built.assigns.Load() != before+1 {
+		t.Error("BuildIndex's Add bypassed the partitioner override")
+	}
+	if !sameMultiset(ix.Global(), skyline.BNL(append(data.Clone(), fresh))) {
+		t.Error("index global skyline wrong after Add")
+	}
+
+	blob, err := ix.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := &countingPartitioner{Partitioner: hybrid}
+	restored, err := LoadIndex(ctx, bytes.NewReader(blob), Options{Scheme: partition.Angular, PartitionerOverride: loaded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, _, err := restored.Add(points.Point{0.02, 0.5, 0.01}); err != nil || loaded.assigns.Load() != 1 {
+		t.Errorf("LoadIndex's Add: partition %d, err %v, override saw %d assigns, want 1", id, err, loaded.assigns.Load())
 	}
 }

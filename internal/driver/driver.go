@@ -6,21 +6,22 @@
 //	and the reducer run the skyline kernel per partition, producing local
 //	skylines.
 //
-//	Job 2 (Merging Job): map every local skyline point to one shared
-//	partition; a single reduce merges them into the global skyline.
+//	Job 2 (Merging Job): merge the union of the local skylines into the
+//	global skyline.
 //
-// Both jobs run on the engine's block-framed shuffle. When the merge
-// must not land on one reducer (HierarchicalMerge, ComputeStream), Job 2
-// becomes the multi-round merge schedule instead. The driver also
-// implements MR-Grid's cell-level dominance pruning and collects the
-// per-partition local skylines needed by the paper's local skyline
-// optimality metric (Eq. 5).
+// Job 1 runs on the engine's block-framed shuffle. Job 2 is the
+// multi-round merge schedule (outofcore.go): without a reducer budget it
+// is one group in one round — the paper's single global merge — and
+// under a budget it packs the local skylines into groups that fit and
+// repeats until one remains. The driver also implements MR-Grid's
+// cell-level dominance pruning and collects the per-partition local
+// skylines needed by the paper's local skyline optimality metric
+// (Eq. 5).
 package driver
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -45,14 +46,16 @@ type Options struct {
 	Partitions int
 	// Workers is the engine's worker-goroutine count; defaults to Nodes.
 	Workers int
-	// Kernel is the sequential skyline algorithm used for local and global
-	// skylines. Defaults to BNL, the paper's choice.
+	// Kernel is the sequential skyline algorithm used for the local
+	// skylines. Defaults to BNL, the paper's choice. The merge of the
+	// local skylines always runs the merge schedule's own folds.
 	Kernel skyline.Algorithm
 	// KernelOverride, when non-nil, replaces Kernel with an arbitrary
 	// skyline function (e.g. the R-tree BBS from package rtree, which has
 	// no Algorithm enum value because it carries index state). It runs
-	// inside the block combiners and reducers through a Set round-trip.
-	// The budgeted folds and the merge schedule keep their own BNL.
+	// inside the block combiners and unbudgeted reducers through a Set
+	// round-trip, so it computes local skylines only; the budgeted folds
+	// and the merge schedule keep their own BNL.
 	KernelOverride skyline.Func
 	// PartitionerOverride, when non-nil, replaces the Scheme-fitted
 	// partitioner with a pre-built one (experimental partitioners such as
@@ -74,23 +77,15 @@ type Options struct {
 	// memory-budgeted fold: frames are folded one at a time into a bounded
 	// skyline window that spills and multi-passes when the local skyline
 	// outgrows it, so reduce memory stays near the budget instead of
-	// scaling with partition size. 0 keeps the assembling reducers, which
-	// run the kernel over each whole partition.
+	// scaling with partition size. The merge then runs in as many rounds
+	// as it takes to keep each group's candidates within the budget — the
+	// paper's §II iterative (Twister-style) extension. 0 keeps the
+	// assembling reducers, which run the kernel over each whole
+	// partition, and merges every local skyline in one round.
 	ReducerBudgetBytes int64
-	// HierarchicalMerge enables the paper's §II iterative extension: the
-	// merge runs as the multi-round merge schedule — rounds of partial
-	// merges of at most MergeFanIn local skylines each (and, when
-	// ReducerBudgetBytes is set, at most that many candidate bytes) —
-	// instead of a single global reduce: the Twister-style iterative
-	// MapReduce path for registries whose local skylines are too large
-	// for one reducer.
-	HierarchicalMerge bool
-	// MergeFanIn caps how many local skylines one hierarchical merge
-	// group folds (default 8, minimum 2).
-	MergeFanIn int
 	// Metrics, when non-nil, receives skyline-level series (per-partition
 	// local skyline sizes, pruned-cell counts) and is passed through to
-	// both engine jobs for the mr_* bridge. Nil (the default) records
+	// the engine job for the mr_* bridge. Nil (the default) records
 	// nothing.
 	Metrics *telemetry.Registry
 }
@@ -159,9 +154,10 @@ type Stats struct {
 	// LocalSkylines maps partition id → local skyline (Job 1 output).
 	LocalSkylines map[int]points.Set
 	// PartitionJob and MergeJob are the per-job phase timings; Timing is
-	// their sum.
+	// their sum. MergeJob is the merge schedule's (or the skyband
+	// count's) wall time, booked as Reduce.
 	PartitionJob, MergeJob, Timing mapreduce.Timing
-	// Counters merges both jobs' framework counters.
+	// Counters holds the partitioning job's framework counters.
 	Counters map[string]int64
 	// ReducerPeakBytes is the largest reducer-resident working set any
 	// reduce task (its folds' resident bytes plus decode scratch) or
@@ -170,10 +166,11 @@ type Stats struct {
 	// MergePasses is the largest BudgetedFold pass count any fold needed
 	// (>1 means a skyline overflowed its window and multi-passed).
 	MergePasses int
-	// MergeRounds counts the rounds of the multi-round merge schedule
-	// (ComputeStream, HierarchicalMerge); MergeRoundBytes[i] is the
-	// candidate volume entering round i. Zero/nil when the merge ran as a
-	// single job.
+	// MergeRounds counts the Merging Job's rounds and is ≥ 1 on every
+	// run: 1 when every local skyline merged in one group (and for the
+	// skyband's single dominator count), more when the candidates
+	// exceeded the reducer budget. MergeRoundBytes[i] is the candidate
+	// volume entering round i.
 	MergeRounds     int
 	MergeRoundBytes []int64
 }
@@ -246,29 +243,7 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 	}
 
 	// ---- Job 2: Merging Job -----------------------------------------
-	var global points.Set
-	if opts.HierarchicalMerge {
-		budget := opts.ReducerBudgetBytes
-		if budget <= 0 {
-			budget = math.MaxInt64
-		}
-		fanIn := opts.MergeFanIn
-		if fanIn < 2 {
-			fanIn = 8
-		}
-		global, err = mergeBlocks(ctx, res1.Blocks, data.Dim(), budget, fanIn, opts, stats)
-	} else {
-		// The single global reduce runs the parallel merge tree (or the
-		// override kernel) over the candidate union.
-		mergeKernel := blockKernel
-		if opts.KernelOverride == nil {
-			mergeKernel = func(blk *points.Block) *points.Block {
-				return skyline.ParallelBlock(ctx, blk, opts.Workers)
-			}
-		}
-		global, err = mergeJob(ctx, fmt.Sprintf("%s-merging", opts.Scheme),
-			opts.combiner(blockKernel), opts.folder(data.Dim(), mergeKernel), opts, stats)
-	}
+	global, err := mergeBlocks(ctx, res1.Blocks, data.Dim(), opts.ReducerBudgetBytes, opts, stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -293,19 +268,6 @@ func (o Options) partitioner(sample points.Set) (partition.Partitioner, error) {
 // tasks.
 func (o Options) source(rows points.Set) mapreduce.ChunkSource {
 	return mapreduce.SetSource(rows, (len(rows)+4*o.Workers-1)/(4*o.Workers))
-}
-
-// jobConfig is the engine configuration both jobs of a computation share.
-func (o Options) jobConfig(ctx context.Context, name string, reducers int) mapreduce.Config {
-	return mapreduce.Config{
-		Name:     name,
-		Workers:  o.Workers,
-		Reducers: reducers,
-		SpillDir: o.SpillDir,
-		Metrics:  o.Metrics,
-		Trace:    traceSink(ctx),
-		Codec:    o.Codec,
-	}
 }
 
 func newStats(opts Options, part partition.Partitioner) *Stats {
@@ -366,8 +328,16 @@ func partitionMapper(part partition.Partitioner, pruned []bool, counts []int64) 
 // occupancy, fold peaks, timing and counters land in stats.
 func partitionJob(ctx context.Context, name string, src mapreduce.ChunkSource, part partition.Partitioner, pruned []bool, combiner mapreduce.FrameCombiner, folder mapreduce.FrameFolder, opts Options, stats *Stats) (*mapreduce.FrameResult, error) {
 	counts := make([]int64, part.Partitions())
-	res, err := mapreduce.Run(ctx, opts.jobConfig(ctx, name, opts.Workers), src,
-		partitionMapper(part, pruned, counts), combiner, folder)
+	cfg := mapreduce.Config{
+		Name:     name,
+		Workers:  opts.Workers,
+		Reducers: opts.Workers,
+		SpillDir: opts.SpillDir,
+		Metrics:  opts.Metrics,
+		Trace:    traceSink(ctx),
+		Codec:    opts.Codec,
+	}
+	res, err := mapreduce.Run(ctx, cfg, src, partitionMapper(part, pruned, counts), combiner, folder)
 	if err != nil {
 		return nil, err
 	}
@@ -388,42 +358,6 @@ func partitionJob(ctx context.Context, name string, src mapreduce.ChunkSource, p
 	stats.Counters = res.Counters.Snapshot()
 	publishPartitionGauges(opts.Metrics, stats)
 	return res, nil
-}
-
-// mergeJob is the paper's Merging Job: every local skyline point, read in
-// ascending partition order with the input's split, goes to one global
-// partition; map tasks pre-merge their share with combiner (nil for
-// none) and the single reduce folds the candidate union with folder. Its
-// timing, counters and fold peaks accumulate into stats.
-func mergeJob(ctx context.Context, name string, combiner mapreduce.FrameCombiner, folder mapreduce.FrameFolder, opts Options, stats *Stats) (points.Set, error) {
-	var candidates points.Set
-	for _, id := range sortedIDs(stats.LocalSkylines) {
-		candidates = append(candidates, stats.LocalSkylines[id]...)
-	}
-	global := mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
-		for i := 0; i < blk.Len(); i++ {
-			emit(0, blk.Row(i)) // paper line 13: output(null, si) — one global partition
-		}
-		return nil
-	})
-	// All local skylines share one partition (paper lines 12-15).
-	res, err := mapreduce.Run(ctx, opts.jobConfig(ctx, name, 1), opts.source(candidates),
-		global, combiner, folder)
-	if err != nil {
-		return nil, err
-	}
-	stats.ReducerPeakBytes = max(stats.ReducerPeakBytes, res.ReducerPeakBytes)
-	stats.MergePasses = max(stats.MergePasses, res.MergePasses)
-	stats.MergeJob = res.Timing
-	stats.Timing.Add(res.Timing)
-	for k, v := range res.Counters.Snapshot() {
-		stats.Counters[k] += v
-	}
-	var out points.Set
-	if blk := res.Blocks[0]; blk != nil {
-		out = blk.ToSet()
-	}
-	return out, nil
 }
 
 // sortedIDs returns a partition map's ids ascending.

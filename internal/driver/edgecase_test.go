@@ -59,7 +59,10 @@ func edgeSchemes(d int) []partition.Scheme {
 // TestEdgeCaseOracleTable runs every Compute variant, ComputeStream over
 // an in-memory chunk source (several chunks, and one), the skyband for
 // k = 1..3 and the KernelOverride BBS path over the edge inputs, against
-// skyline.Naive and skyline.Skyband as sorted multisets.
+// skyline.Naive and skyline.Skyband as sorted multisets. Compute runs at
+// 1, 4, 16 and 32 partitions, unbudgeted (one merge round) and under a
+// tight reducer budget (several rounds whenever more than one local
+// skyline does not fit it).
 func TestEdgeCaseOracleTable(t *testing.T) {
 	bbs := func(s points.Set) points.Set {
 		if len(s) == 0 {
@@ -77,11 +80,15 @@ func TestEdgeCaseOracleTable(t *testing.T) {
 	}{
 		{"plain", Options{}},
 		{"no-combiner", Options{DisableCombiner: true}},
-		{"hierarchical", Options{HierarchicalMerge: true, MergeFanIn: 2}},
+		{"partitions-1", Options{Partitions: 1}},
+		{"partitions-16", Options{Partitions: 16}},
+		{"partitions-32", Options{Partitions: 32}},
 		{"budget-64", Options{ReducerBudgetBytes: 64}},
+		{"budget-64-partitions-16", Options{Partitions: 16, ReducerBudgetBytes: 64}},
 		{"bbs-override", Options{KernelOverride: bbs}},
 	}
 	ctx := context.Background()
+	multiRound := 0
 	for _, in := range edgeInputs() {
 		want := skyline.Naive(in.data)
 		for _, scheme := range edgeSchemes(in.data.Dim()) {
@@ -92,12 +99,23 @@ func TestEdgeCaseOracleTable(t *testing.T) {
 				if v.opts.ReducerBudgetBytes > 0 {
 					opts.SpillDir = t.TempDir()
 				}
-				got, _, err := Compute(ctx, in.data, opts)
+				got, stats, err := Compute(ctx, in.data, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if !sameMultiset(got, want) {
 					t.Errorf("%s: %d points, Naive oracle %d", name, len(got), len(want))
+				}
+				candidates := int64(stats.LocalSkylineTotal() * in.data.Dim() * 8)
+				budget := opts.ReducerBudgetBytes
+				if budget > 0 && len(stats.LocalSkylines) > 1 && candidates > budget {
+					multiRound++
+					if stats.MergeRounds < 2 {
+						t.Errorf("%s: %d merge rounds for %d candidate bytes under a %d-byte budget, want >= 2",
+							name, stats.MergeRounds, candidates, budget)
+					}
+				} else if stats.MergeRounds != 1 {
+					t.Errorf("%s: %d merge rounds, want 1", name, stats.MergeRounds)
 				}
 			}
 			for _, split := range []int{(len(in.data) + 3) / 4, 0} {
@@ -126,5 +144,8 @@ func TestEdgeCaseOracleTable(t *testing.T) {
 				}
 			}
 		}
+	}
+	if multiRound == 0 {
+		t.Error("no tight-budget row needed more than one merge round")
 	}
 }

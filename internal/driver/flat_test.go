@@ -34,13 +34,16 @@ func TestFlatMatchesClassic(t *testing.T) {
 // multi-round merge schedule.
 func TestFlatHierarchicalMerge(t *testing.T) {
 	data := qws.Dataset(8, 1200, 4)
-	got, _, err := Compute(context.Background(), data,
-		Options{Scheme: partition.Angular, Nodes: 4, HierarchicalMerge: true, MergeFanIn: 3})
+	got, stats, err := Compute(context.Background(), data,
+		Options{Scheme: partition.Angular, Nodes: 4, ReducerBudgetBytes: 256, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := skyline.BNL(data); !sameMultiset(got, want) {
 		t.Fatalf("hierarchical flat merge: %d points, BNL oracle %d", len(got), len(want))
+	}
+	if stats.MergeRounds < 2 {
+		t.Errorf("MergeRounds = %d, want >= 2", stats.MergeRounds)
 	}
 }
 

@@ -85,20 +85,20 @@ func TestFrameShuffleSpillMatches(t *testing.T) {
 }
 
 // TestFrameShuffleHierarchicalMerge checks the framed partitioning job
-// feeds the merge schedule's rounds correctly.
+// feeds the merge schedule's budget-driven rounds correctly.
 func TestFrameShuffleHierarchicalMerge(t *testing.T) {
 	data := dupSet(9, 800, 3)
 	want := skyline.Naive(data)
 	got, stats, err := Compute(context.Background(), data,
-		Options{Scheme: partition.Grid, Nodes: 4, HierarchicalMerge: true, MergeFanIn: 2})
+		Options{Scheme: partition.Grid, Nodes: 4, ReducerBudgetBytes: 64, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameMultiset(got, want) {
 		t.Errorf("hierarchical framed skyline %d pts, oracle %d", len(got), len(want))
 	}
-	if stats.MergeJob.Total <= 0 {
-		t.Error("merge rounds recorded no time")
+	if stats.MergeJob.Total <= 0 || stats.MergeRounds < 2 {
+		t.Errorf("merge rounds: %d in %v, want >= 2 in nonzero time", stats.MergeRounds, stats.MergeJob.Total)
 	}
 }
 

@@ -111,16 +111,19 @@ func (v View) locals() map[int]points.Set {
 }
 
 // BuildIndex computes an initial index with the given options. The
-// partitioner is fitted once on the initial data; later additions outside
-// the fitted bounds are clamped into boundary partitions (see package
-// partition), which keeps results correct, merely less balanced.
+// partitioner (opts.PartitionerOverride when set) is fitted once on the
+// initial data and serves both the initial computation and every later
+// Add; additions outside the fitted bounds are clamped into boundary
+// partitions (see package partition), which keeps results correct,
+// merely less balanced.
 func BuildIndex(ctx context.Context, data points.Set, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
-	global, stats, err := Compute(ctx, data, opts)
+	part, err := opts.partitioner(data)
 	if err != nil {
 		return nil, err
 	}
-	part, err := partition.New(opts.Scheme, data, opts.Partitions)
+	opts.PartitionerOverride = part
+	global, stats, err := Compute(ctx, data, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -11,15 +11,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the out-of-core entry point: datasets that never fit in
-// memory enter as chunk recipes (mapreduce.ChunkSource), the partitioning
-// job streams one chunk at a time through the framed engine, reducers
-// fold frames under a byte budget, and the merge runs as a multi-round
-// schedule in the MRC mold (Goodrich et al., "Sorting, Searching, and
-// Simulation in the MapReduce Framework"): each round's reducers touch at
-// most the memory budget, and rounds repeat until one group holds the
-// global skyline. Round count and per-round candidate bytes land in the
-// flight recorder, matching the model's round-complexity accounting.
+// This file is the out-of-core entry point and the merge every entry
+// point ends in. Datasets that never fit in memory enter as chunk
+// recipes (mapreduce.ChunkSource), the partitioning job streams one chunk
+// at a time through the framed engine, and reducers fold frames under a
+// byte budget. The merge runs as a multi-round schedule in the MRC mold
+// (Goodrich et al., "Sorting, Searching, and Simulation in the MapReduce
+// Framework"): each round's groups touch at most the memory budget, and
+// rounds repeat until one group holds the global skyline; without a
+// budget the schedule is one group in one round. Round count and
+// per-round candidate bytes land in the flight recorder, matching the
+// model's round-complexity accounting.
 
 // defaultReducerBudget caps reducer memory at 1 GiB when the caller gave
 // no budget — the paper-scale "commodity reducer" setting.
@@ -29,8 +31,8 @@ const defaultReducerBudget = 1 << 30
 // exists only as a chunk recipe: src is read one chunk per map task (and
 // re-read on retry — ReadChunk must be pure), so a 10⁸-point input is
 // never materialized. Reducers fold shuffle frames under
-// opts.ReducerBudgetBytes (default 1 GiB) and the merge runs as the
-// multi-round budgeted schedule instead of one global reduce.
+// opts.ReducerBudgetBytes (default 1 GiB), and the merge schedule packs
+// its groups under the same budget.
 //
 // When opts.PartitionerOverride is nil the partitioner is fitted to the
 // first chunk — a sample fit: partition quality (not correctness) depends
@@ -77,7 +79,7 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 	}
 
 	// ---- Job 2: multi-round budgeted merge schedule ------------------
-	global, err := mergeBlocks(ctx, res.Blocks, dim, budget, 0, opts, stats)
+	global, err := mergeBlocks(ctx, res.Blocks, dim, budget, opts, stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -88,16 +90,16 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 	return global, stats, nil
 }
 
-// mergeBlocks runs the merge schedule over a partitioning job's local
-// skylines, taken in ascending partition order, under one
-// "merge-schedule" span.
-func mergeBlocks(ctx context.Context, locals map[int]*points.Block, dim int, budget int64, fanIn int, opts Options, stats *Stats) (points.Set, error) {
+// mergeBlocks is the Merging Job: it runs the merge schedule over a
+// partitioning job's local skylines, taken in ascending partition order,
+// under one "merge-schedule" span. budget ≤ 0 means unbudgeted.
+func mergeBlocks(ctx context.Context, locals map[int]*points.Block, dim int, budget int64, opts Options, stats *Stats) (points.Set, error) {
 	candidates := make([]*points.Block, 0, len(locals))
 	for _, id := range sortedIDs(locals) {
 		candidates = append(candidates, locals[id])
 	}
 	ctx, span := telemetry.StartSpan(ctx, "merge-schedule")
-	global, err := mergeSchedule(ctx, candidates, dim, budget, fanIn, opts, stats)
+	global, err := mergeSchedule(ctx, candidates, dim, budget, opts, stats)
 	span.End()
 	if err != nil || global == nil {
 		return nil, err
@@ -107,29 +109,34 @@ func mergeBlocks(ctx context.Context, locals map[int]*points.Block, dim int, bud
 
 // mergeSchedule folds the local skyline blocks to the global skyline in
 // rounds: each round greedily packs consecutive candidate blocks into
-// groups of at most the byte budget — and, when fanIn > 0, at most fanIn
-// blocks — and reduces every group to its skyline through a
-// BudgetedFold, so no round holds more than ~budget bytes resident per
-// group — the MRC memory constraint. Rounds repeat until one group
-// remains. When every candidate alone exceeds the budget the greedy
-// packing makes no progress, so the round falls back to pairwise
-// grouping; the folds then multi-pass internally, and the group count
-// still halves — termination is unconditional. The schedule's wall time
-// is recorded as stats.MergeJob (Reduce and Total) and added into
-// stats.Timing.
-func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, budget int64, fanIn int, opts Options, stats *Stats) (*points.Block, error) {
+// groups of at most budget bytes and reduces every group to its skyline,
+// so no group holds more than ~budget bytes resident — the MRC memory
+// constraint. Rounds repeat until one group remains. When every candidate
+// alone exceeds the budget the greedy packing makes no progress, so the
+// round falls back to pairwise grouping; the folds then multi-pass
+// internally, and the group count still halves — termination is
+// unconditional.
+//
+// A budgeted group folds through a BudgetedFold. Without a budget
+// (budget ≤ 0) every candidate lands in one group in one round, which
+// folds with the parallel merge tree: the candidates are skylines of
+// disjoint partitions, so only cross-partition dominance is left to
+// test. The schedule's wall time is recorded as stats.MergeJob (Reduce
+// and Total) and added into stats.Timing.
+func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, budget int64, opts Options, stats *Stats) (*points.Block, error) {
 	if len(candidates) == 0 {
 		return nil, nil
 	}
 	start := time.Now()
 	rec := telemetry.RecorderFrom(ctx)
+	blockBytes := func(blk *points.Block) int64 { return int64(blk.Len()) * int64(dim) * 8 }
 	for round := 1; len(candidates) > 1 || round == 1; round++ {
 		var groups [][]*points.Block
 		var cur []*points.Block
 		var curBytes int64
 		for _, blk := range candidates {
-			b := int64(blk.Len()) * int64(dim) * 8
-			if len(cur) > 0 && (curBytes+b > budget || len(cur) == fanIn) {
+			b := blockBytes(blk)
+			if len(cur) > 0 && budget > 0 && curBytes+b > budget {
 				groups = append(groups, cur)
 				cur, curBytes = nil, 0
 			}
@@ -149,9 +156,18 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 		var roundBytes int64
 		next := make([]*points.Block, 0, len(groups))
 		for _, g := range groups {
+			var groupBytes int64
+			for _, blk := range g {
+				groupBytes += blockBytes(blk)
+			}
+			roundBytes += groupBytes
+			if budget <= 0 {
+				stats.ReducerPeakBytes = max(stats.ReducerPeakBytes, groupBytes)
+				next = append(next, skyline.MergeTree(ctx, g, opts.Workers))
+				continue
+			}
 			fold := skyline.NewBudgetedFold(dim, budget, opts.SpillDir, opts.Codec)
 			for _, blk := range g {
-				roundBytes += int64(blk.Len()) * int64(dim) * 8
 				if err := fold.Absorb(blk); err != nil {
 					return nil, err
 				}
@@ -161,12 +177,8 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 				return nil, err
 			}
 			fs := fold.Stats()
-			if fs.PeakBytes > stats.ReducerPeakBytes {
-				stats.ReducerPeakBytes = fs.PeakBytes
-			}
-			if fs.Passes > stats.MergePasses {
-				stats.MergePasses = fs.Passes
-			}
+			stats.ReducerPeakBytes = max(stats.ReducerPeakBytes, fs.PeakBytes)
+			stats.MergePasses = max(stats.MergePasses, fs.Passes)
 			next = append(next, out)
 		}
 		stats.MergeRounds++
@@ -174,8 +186,13 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 		rec.AddMergeRound(roundBytes)
 		candidates = next
 	}
-	wall := time.Since(start)
+	recordMerge(stats, time.Since(start))
+	return candidates[0], nil
+}
+
+// recordMerge books a Merging Job's wall time as stats.MergeJob (Reduce
+// and Total) and adds it into stats.Timing.
+func recordMerge(stats *Stats, wall time.Duration) {
 	stats.MergeJob = mapreduce.Timing{Reduce: wall, Total: wall}
 	stats.Timing.Add(stats.MergeJob)
-	return candidates[0], nil
 }

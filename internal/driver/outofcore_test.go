@@ -161,7 +161,7 @@ func TestMergeScheduleRounds(t *testing.T) {
 	}
 	stats := &Stats{}
 	budget := int64(2*32*d*8 + 1)
-	out, err := mergeSchedule(context.Background(), candidates, d, budget, 0,
+	out, err := mergeSchedule(context.Background(), candidates, d, budget,
 		Options{SpillDir: t.TempDir(), Codec: points.FrameAuto}, stats)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestMergeScheduleRounds(t *testing.T) {
 		}
 	}
 	// Single empty-candidate edge.
-	if blk, err := mergeSchedule(context.Background(), nil, d, budget, 0, Options{}, &Stats{}); err != nil || blk != nil {
+	if blk, err := mergeSchedule(context.Background(), nil, d, budget, Options{}, &Stats{}); err != nil || blk != nil {
 		t.Fatalf("nil candidates: blk=%v err=%v", blk, err)
 	}
 }

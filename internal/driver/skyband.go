@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/points"
@@ -19,7 +20,8 @@ import (
 //	       partition has ≥ k dominators globally).
 //
 //	Job 2: count, for every surviving candidate, its dominators among all
-//	       survivors and keep those with < k.
+//	       survivors and keep those with < k — one skyline.Skyband over
+//	       the union of the local bands.
 //
 // Correctness of counting only among survivors: all dominators of a
 // candidate p that were dropped in Job 1 had ≥ k dominators of their own,
@@ -41,8 +43,8 @@ func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (
 	}
 	stats := newStats(opts, part)
 
-	// Both jobs keep the points with fewer than k dominators within what
-	// their reducer sees.
+	// Each reducer keeps the points with fewer than k dominators within
+	// its partition.
 	band := mapreduce.KernelFolder(skyline.BlockFuncOf(func(s points.Set) points.Set {
 		out, _ := skyline.Skyband(s, k) // k >= 1 was checked above
 		return out
@@ -61,11 +63,19 @@ func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (
 	}
 
 	// ---- Job 2: global dominator counting ------------------------------
-	// Candidates are few (local bands); for simplicity and determinism
-	// the counting happens in one reducer over the full candidate set.
-	out, err := mergeJob(ctx, fmt.Sprintf("%s-skyband%d-merging", opts.Scheme, k), nil, band, opts, stats)
+	// Candidates are few (local bands), so the counting runs directly
+	// over their union, taken in ascending partition order.
+	start := time.Now()
+	var candidates points.Set
+	for _, id := range sortedIDs(stats.LocalSkylines) {
+		candidates = append(candidates, stats.LocalSkylines[id]...)
+	}
+	out, err := skyline.Skyband(candidates, k)
 	if err != nil {
 		return nil, nil, err
 	}
+	stats.MergeRounds = 1
+	stats.MergeRoundBytes = []int64{int64(len(candidates) * data.Dim() * 8)}
+	recordMerge(stats, time.Since(start))
 	return out, stats, nil
 }

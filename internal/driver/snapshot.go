@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/sequencefile"
 )
@@ -112,9 +111,10 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // LoadIndex restores an index from a snapshot (v1 or v2). opts selects
-// the partitioner for future additions (typically the same options the
-// index was built with); the snapshot's partition tags are preserved for
-// the restored points. A v2 snapshot resumes at its saved epoch; a v1
+// the partitioner for future additions — PartitionerOverride when set,
+// otherwise opts.Scheme fitted to the restored points (typically the
+// same options the index was built with); the snapshot's partition tags
+// are preserved for the restored points. A v2 snapshot resumes at its saved epoch; a v1
 // snapshot restarts the epoch clock.
 func LoadIndex(ctx context.Context, r io.Reader, opts Options) (*Index, error) {
 	recs, err := sequencefile.ReadAll(r)
@@ -170,7 +170,7 @@ func LoadIndex(ctx context.Context, r io.Reader, opts Options) (*Index, error) {
 	// persisted locals ARE the working set, and the global skyline is one
 	// kernel pass over their (small) union.
 	opts = opts.withDefaults()
-	part, err := partition.New(opts.Scheme, union, opts.Partitions)
+	part, err := opts.partitioner(union)
 	if err != nil {
 		return nil, err
 	}

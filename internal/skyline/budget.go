@@ -41,10 +41,10 @@ type BudgetedFold struct {
 	obufCap  int // overflow write-buffer rows
 	spillDir string
 
-	confirmed *points.Block
-	win       *points.Block
-	ticks     []int64 // insertion tick of each window row, swap-deleted in lockstep
-	tick      int64
+	confirmed     *points.Block
+	win           *points.Block
+	ticks         []int64 // insertion tick of each window row, swap-deleted in lockstep
+	tick          int64
 	firstOverflow int64 // tick of this pass's first overflow write; -1 while none
 
 	of      *os.File

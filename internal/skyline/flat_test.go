@@ -84,7 +84,7 @@ func TestFlatKernelsMatchOracle(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{0, 1, 3, 8} {
-			check("Parallel", Parallel(s, workers))
+			check("ParallelBlock", parallel(s, workers))
 		}
 	}
 }
@@ -107,21 +107,32 @@ func TestMergeBlocksMatchesOracle(t *testing.T) {
 	}
 }
 
+// skylineBlocks returns the FlatBNL skyline of each chunk as a block.
+func skylineBlocks(chunks ...points.Set) []*points.Block {
+	out := make([]*points.Block, len(chunks))
+	for i, c := range chunks {
+		out[i], _ = points.BlockOf(FlatBNL(c))
+	}
+	return out
+}
+
 // TestMergeSkylinesMatchesOracle folds many partials through the full
-// tree (odd counts exercise the bye path).
+// MergeTree (odd counts exercise the bye path; empty chunks give empty
+// partials).
 func TestMergeSkylinesMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	for _, parts := range []int{1, 2, 3, 5, 8, 13} {
 		d := 1 + rng.Intn(6)
-		var partials []points.Set
+		var chunks []points.Set
 		var union points.Set
 		for i := 0; i < parts; i++ {
 			chunk := randSet(rng, rng.Intn(150), d)
 			union = append(union, chunk...)
-			partials = append(partials, FlatBNL(chunk))
+			chunks = append(chunks, chunk)
 		}
+		partials := skylineBlocks(chunks...)
 		for _, workers := range []int{0, 1, 4} {
-			got := MergeSkylines(context.Background(), partials, workers)
+			got := MergeTree(context.Background(), partials, workers).ToSet()
 			want := Naive(union)
 			if !sameMultiset(got, want) {
 				t.Fatalf("parts=%d workers=%d d=%d: %d points, oracle %d", parts, workers, d, len(got), len(want))
@@ -134,7 +145,7 @@ func TestMergeSkylinesMatchesOracle(t *testing.T) {
 // the flat path: coordinate-equal skyline members all survive.
 func TestFlatRetainsDuplicates(t *testing.T) {
 	s := points.Set{{1, 2}, {1, 2}, {2, 1}, {2, 2}, {1, 2}}
-	for name, f := range map[string]Func{"FlatBNL": FlatBNL, "FlatSFS": FlatSFS, "Parallel": func(s points.Set) points.Set { return Parallel(s, 4) }} {
+	for name, f := range map[string]Func{"FlatBNL": FlatBNL, "FlatSFS": FlatSFS, "ParallelBlock": func(s points.Set) points.Set { return parallel(s, 4) }} {
 		got := f(s)
 		if len(got) != 4 {
 			t.Errorf("%s kept %d points, want 4 (three duplicates + (2,1)): %v", name, len(got), got)
@@ -150,9 +161,6 @@ func TestFlatMixedDimensionFallback(t *testing.T) {
 	if got := FlatBNL(s); !sameMultiset(got, want) {
 		t.Fatalf("FlatBNL on mixed dims: %v, want %v", got, want)
 	}
-	if got := Parallel(s, 2); !sameMultiset(got, want) {
-		t.Fatalf("Parallel on mixed dims: %v, want %v", got, want)
-	}
 }
 
 // TestDominanceTestsCounter: the flat kernels must account their pairwise
@@ -166,7 +174,7 @@ func TestDominanceTestsCounter(t *testing.T) {
 		t.Fatal("BlockBNL recorded no dominance tests")
 	}
 	before = DominanceTests()
-	MergeSkylines(context.Background(), []points.Set{FlatBNL(s[:150]), FlatBNL(s[150:])}, 2)
+	MergeTree(context.Background(), skylineBlocks(s[:150], s[150:]), 2)
 	if DominanceTests() == before {
 		t.Fatal("merge tree recorded no dominance tests")
 	}
@@ -176,10 +184,11 @@ func TestDominanceTestsCounter(t *testing.T) {
 // merge-level span per tree level.
 func TestMergeLevelSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
-	var partials []points.Set
+	var chunks []points.Set
 	for i := 0; i < 8; i++ {
-		partials = append(partials, FlatBNL(randSet(rng, 100, 3)))
+		chunks = append(chunks, randSet(rng, 100, 3))
 	}
+	partials := skylineBlocks(chunks...)
 	// The tournament (and its per-level spans) only runs with real
 	// parallelism — normWorkers caps at GOMAXPROCS, and on one core the
 	// tree degenerates to a single-span fold. Pin GOMAXPROCS so the
@@ -187,7 +196,7 @@ func TestMergeLevelSpans(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	tr := telemetry.NewTracer()
 	ctx := telemetry.WithTracer(context.Background(), tr)
-	MergeSkylines(ctx, partials, 4)
+	MergeTree(ctx, partials, 4)
 	levels := 0
 	for _, sp := range tr.Spans() {
 		if sp.Name == "merge-level" {
@@ -218,8 +227,8 @@ func FuzzFlatBNL(f *testing.F) {
 		if got := FlatSFS(s); !sameMultiset(got, want) {
 			t.Fatalf("FlatSFS diverged from oracle on n=%d d=%d", n, d)
 		}
-		if got := Parallel(s, 3); !sameMultiset(got, want) {
-			t.Fatalf("Parallel diverged from oracle on n=%d d=%d", n, d)
+		if got := parallel(s, 3); !sameMultiset(got, want) {
+			t.Fatalf("ParallelBlock diverged from oracle on n=%d d=%d", n, d)
 		}
 	})
 }

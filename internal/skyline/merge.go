@@ -17,7 +17,7 @@ package skyline
 //     which is what the upper tree levels need: the root level has one
 //     pair and would otherwise run on one core.
 //
-// mergeTree divides the worker budget by the level's pair count, so the
+// MergeTree divides the worker budget by the level's pair count, so the
 // leaf levels parallelize across pairs and the root parallelizes inside
 // its single pair. Each level records a "merge-level" telemetry span so
 // Fig. 6-style breakdowns see where merge time goes.
@@ -189,12 +189,17 @@ func mergeBlocksParallel(a, b *points.Block, workers int) *points.Block {
 	return out
 }
 
-// mergeTree folds partial skyline blocks pairwise — level 0 merges
-// neighbours, level 1 merges the results, and so on until one block
-// remains. Every level splits the worker budget over its pairs: many
-// small merges run side by side at the leaves, and the root's single
-// merge fans its cross-filter across the whole budget instead of
-// serializing on one core.
+// MergeTree merges partial skylines — each the exact skyline of its own
+// disjoint chunk, all of one dimension — into the global skyline by
+// folding them pairwise: level 0 merges neighbours, level 1 merges the
+// results, and so on until one block remains. Every level splits the
+// worker budget over its pairs: many small merges run side by side at
+// the leaves, and the root's single merge fans its cross-filter across
+// the whole budget instead of serializing on one core. workers ≤ 0
+// selects GOMAXPROCS; a tracer in ctx receives one "merge-level" span per
+// level. Partials that are not skylines of disjoint chunks yield
+// undefined results. The inputs are read, never mutated; a single
+// partial is returned as is.
 //
 // With a budget of one worker the tournament is strictly worse than a
 // left fold: each point then streams through log₂(k) windows instead of
@@ -202,13 +207,11 @@ func mergeBlocksParallel(a, b *points.Block, workers int) *points.Block {
 // degenerates to a sequential seeded-BNL fold (one span, one level) —
 // exactly a flat BNL over the union, which is the fastest single-core
 // merge we have.
-func mergeTree(ctx context.Context, parts []*points.Block, workers int) *points.Block {
+func MergeTree(ctx context.Context, parts []*points.Block, workers int) *points.Block {
 	if len(parts) == 0 {
 		return points.NewBlock(0, 0)
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = normWorkers(workers)
 	if workers == 1 && len(parts) > 1 {
 		_, span := telemetry.StartSpan(ctx, "merge-level",
 			telemetry.A("level", 0),
@@ -243,33 +246,4 @@ func mergeTree(ctx context.Context, parts []*points.Block, workers int) *points.
 		span.End()
 	}
 	return parts[0]
-}
-
-// MergeSkylines merges partial skylines (each the exact skyline of its own
-// chunk, all of one dimension) into the global skyline with the parallel
-// merge tree. workers ≤ 0 selects GOMAXPROCS; a tracer in ctx receives one
-// span per merge level. Partials that are not genuine skylines of disjoint
-// chunks yield undefined results — use Parallel for arbitrary input.
-func MergeSkylines(ctx context.Context, partials []points.Set, workers int) points.Set {
-	blocks := make([]*points.Block, 0, len(partials))
-	for _, s := range partials {
-		if len(s) == 0 {
-			continue
-		}
-		b, ok := points.BlockOf(s)
-		if !ok {
-			// Mixed dimensionality: fall back to the classic sequential
-			// merge, which tolerates it.
-			var union points.Set
-			for _, p := range partials {
-				union = append(union, p...)
-			}
-			return BNL(union)
-		}
-		blocks = append(blocks, b)
-	}
-	if len(blocks) == 0 {
-		return points.Set{}
-	}
-	return mergeTree(ctx, blocks, normWorkers(workers)).ToSet()
 }

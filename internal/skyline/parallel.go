@@ -8,7 +8,7 @@ import (
 	"repro/internal/points"
 )
 
-// parallelCutoff is the input size below which Parallel runs the flat
+// parallelCutoff is the input size below which ParallelBlock runs the flat
 // sequential kernel instead of fanning out. Measured with
 // BenchmarkMergeTree/BenchmarkLocalSkyline on the benchmark machine (see
 // BENCH_kernels.json): below ~256 points the goroutine spawn plus the
@@ -29,36 +29,13 @@ func normWorkers(workers int) int {
 	return workers
 }
 
-// Parallel computes the skyline on shared memory with `workers`
-// goroutines: the input is copied into one flat block, each chunk's
-// skyline is computed concurrently with the block BNL kernel, and the
-// partial skylines are folded by the parallel merge tree — the
-// divide-and-merge structure of the MapReduce pipeline without the
-// framework, useful as a single-machine fast path and as a baseline when
-// measuring the engine's overhead. workers ≤ 0 selects GOMAXPROCS.
-func Parallel(s points.Set, workers int) points.Set {
-	return ParallelCtx(context.Background(), s, workers)
-}
-
-// ParallelCtx is Parallel with a context: a telemetry tracer in ctx
-// receives one span per merge-tree level.
-func ParallelCtx(ctx context.Context, s points.Set, workers int) points.Set {
-	workers = normWorkers(workers)
-	if workers == 1 || len(s) < 2*workers || len(s) < parallelCutoff {
-		return FlatBNL(s)
-	}
-	src, ok := points.BlockOf(s)
-	if !ok {
-		// Mixed dimensionalities: only the classic kernels handle them.
-		return BNL(s)
-	}
-	return ParallelBlock(ctx, src, workers).ToSet()
-}
-
-// ParallelBlock is the flat-path core shared by ParallelCtx and the
-// merging-job reducers: chunk the block across workers goroutines, run
-// the block BNL on each chunk, then fold the partial skylines with the
-// parallel merge tree. The input block is read, never mutated.
+// ParallelBlock computes the skyline of an arbitrary block on shared
+// memory with workers goroutines: chunk the block across them, run the
+// block BNL on each chunk, then fold the partial skylines with the
+// parallel merge tree — the divide-and-merge structure of the MapReduce
+// pipeline without the framework. workers ≤ 0 selects GOMAXPROCS; a
+// tracer in ctx receives one span per merge-tree level. The input block
+// is read, never mutated.
 func ParallelBlock(ctx context.Context, src *points.Block, workers int) *points.Block {
 	workers = normWorkers(workers)
 	n := src.Len()
@@ -83,5 +60,5 @@ func ParallelBlock(ctx context.Context, src *points.Block, workers int) *points.
 		}(i, part)
 	}
 	wg.Wait()
-	return mergeTree(ctx, partials, workers)
+	return MergeTree(ctx, partials, workers)
 }

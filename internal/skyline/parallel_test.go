@@ -1,11 +1,18 @@
 package skyline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/points"
 )
+
+// parallel runs ParallelBlock over a uniform-dimensional set.
+func parallel(s points.Set, workers int) points.Set {
+	blk, _ := points.BlockOf(s)
+	return ParallelBlock(context.Background(), blk, workers).ToSet()
+}
 
 func TestParallelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -22,7 +29,7 @@ func TestParallelMatchesOracle(t *testing.T) {
 		}
 		want := Naive(s)
 		for _, workers := range []int{0, 1, 2, 7, 32} {
-			got := Parallel(s, workers)
+			got := parallel(s, workers)
 			if !sameMultiset(got, want) {
 				t.Fatalf("trial %d workers=%d: %d points, oracle %d", trial, workers, len(got), len(want))
 			}
@@ -31,10 +38,10 @@ func TestParallelMatchesOracle(t *testing.T) {
 }
 
 func TestParallelEmptyAndTiny(t *testing.T) {
-	if got := Parallel(nil, 4); len(got) != 0 {
+	if got := parallel(nil, 4); len(got) != 0 {
 		t.Errorf("nil gave %v", got)
 	}
-	got := Parallel(points.Set{{1, 2}}, 8)
+	got := parallel(points.Set{{1, 2}}, 8)
 	if len(got) != 1 {
 		t.Errorf("singleton gave %v", got)
 	}
@@ -47,7 +54,7 @@ func TestParallelDoesNotMutateInput(t *testing.T) {
 		s[i] = points.Point{rng.Float64(), rng.Float64()}
 	}
 	orig := s.Clone()
-	Parallel(s, 4)
+	parallel(s, 4)
 	for i := range s {
 		if !s[i].Equal(orig[i]) {
 			t.Fatalf("input mutated at %d", i)
@@ -68,7 +75,7 @@ func BenchmarkParallelVsSequential(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Parallel(s, 0)
+			parallel(s, 0)
 		}
 	})
 }

@@ -88,10 +88,10 @@ type eventSlot struct {
 // EventLog is a bounded, concurrency-friendly ring of structured events.
 // All methods are safe for concurrent use and no-op on a nil receiver.
 type EventLog struct {
-	slots []eventSlot
-	seq   atomic.Uint64
-	min   atomic.Int64                // minimum recorded level (slog.Level)
-	count [4]atomic.Int64             // per-level totals since start
+	slots  []eventSlot
+	seq    atomic.Uint64
+	min    atomic.Int64                // minimum recorded level (slog.Level)
+	count  [4]atomic.Int64             // per-level totals since start
 	bridge atomic.Pointer[[4]*Counter] // per-level registry counters, when bound
 }
 

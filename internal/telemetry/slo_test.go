@@ -14,9 +14,9 @@ import (
 // fakeClock advances an SLOTracker deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                 { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func (c *fakeClock) now() time.Time                     { return c.t }
+func (c *fakeClock) advance(d time.Duration)            { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock                          { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 func withClock(t *SLOTracker, c *fakeClock) *SLOTracker { t.now = c.now; return t }
 
 // TestSLOBurnRates: a latency objective's burn rate is the bad fraction

@@ -83,8 +83,9 @@ func (m Method) scheme() partition.Scheme {
 // Methods lists the paper's three methods in presentation order.
 func Methods() []Method { return []Method{Dim, Grid, Angle} }
 
-// Kernel selects the sequential skyline algorithm used inside the
-// pipeline (local and global phases).
+// Kernel selects the sequential skyline algorithm that computes the
+// local skylines inside the pipeline; the merge of the local skylines
+// runs its own merge tree (or budgeted fold) whatever the kernel.
 type Kernel int
 
 const (
@@ -120,7 +121,7 @@ type Options struct {
 	// Workers is the number of concurrent engine workers; defaults to
 	// Nodes.
 	Workers int
-	// Kernel selects the sequential skyline algorithm (default BNL).
+	// Kernel selects the local-skyline algorithm (default BNL).
 	Kernel Kernel
 	// DisableCombiner ships raw partitions to reducers instead of
 	// combining local skylines map-side (ablation).
@@ -131,19 +132,13 @@ type Options struct {
 	// SpillDir, when set, spills intermediate MapReduce data to sequence
 	// files under this existing directory instead of the heap.
 	SpillDir string
-	// HierarchicalMerge replaces the single global merge with the
-	// multi-round merge schedule, folding at most MergeFanIn local
-	// skylines per group — the paper's §II iterative (Twister-style)
-	// extension for very large candidate sets.
-	HierarchicalMerge bool
-	// MergeFanIn caps the local skylines one hierarchical merge group
-	// folds (default 8).
-	MergeFanIn int
 	// ReducerBudgetBytes caps every reducer's resident candidate window
 	// at this many payload bytes; overflow streams through spill frames
 	// and resolves in extra passes (see DESIGN.md "Out-of-core engine").
-	// 0 means unbudgeted. Budgeted runs seal frames with the
-	// size-adaptive auto codec.
+	// The merge then runs in as many rounds as keep each group within
+	// the budget — the paper's §II iterative (Twister-style) extension
+	// for very large candidate sets. 0 means unbudgeted: one merge
+	// round. Budgeted runs seal frames with the size-adaptive auto codec.
 	ReducerBudgetBytes int64
 }
 
@@ -158,7 +153,7 @@ func (o Options) codec() points.FrameCodec {
 
 // Timing is the per-phase wall-clock breakdown of a computation.
 type Timing struct {
-	Map     time.Duration // map + combine across both jobs
+	Map     time.Duration // map + combine of the partitioning job
 	Shuffle time.Duration
 	Reduce  time.Duration
 	Total   time.Duration
@@ -178,7 +173,8 @@ type Result struct {
 	LocalSkylines map[int]Set
 	// PartitionCounts is the number of input points per partition.
 	PartitionCounts []int
-	// Timing is the phase breakdown summed over the two MapReduce jobs.
+	// Timing is the phase breakdown summed over the partitioning job and
+	// the merge (whose wall time counts as Reduce).
 	Timing Timing
 	// Counters exposes the engine's framework counters (see package
 	// mapreduce for names).
@@ -221,8 +217,6 @@ func Compute(ctx context.Context, data Set, opts Options) (*Result, error) {
 		DisableCombiner:    opts.DisableCombiner,
 		DisableGridPruning: opts.DisableGridPruning,
 		SpillDir:           opts.SpillDir,
-		HierarchicalMerge:  opts.HierarchicalMerge,
-		MergeFanIn:         opts.MergeFanIn,
 		ReducerBudgetBytes: opts.ReducerBudgetBytes,
 		Codec:              opts.codec(),
 	})
@@ -278,16 +272,40 @@ func Skyline(data Set) Set { return skyline.BNL(data) }
 
 // SkylineParallel computes the skyline on shared memory with a pool of
 // goroutines (chunk → local BNL → merge). workers ≤ 0 selects GOMAXPROCS.
+// Mixed-dimension input falls back to sequential BNL.
 func SkylineParallel(data Set, workers int) Set {
-	return skyline.Parallel(data, workers)
+	blk, ok := points.BlockOf(data)
+	if !ok {
+		return skyline.BNL(data)
+	}
+	return skyline.ParallelBlock(context.Background(), blk, workers).ToSet()
 }
 
 // SkylineBounded computes the skyline with the memory-bounded multi-pass
 // BNL of Börzsönyi et al.: the candidate window holds at most window
-// points, overflow is re-processed in later passes. Exact for any window
-// ≥ 1.
+// points, and candidates that do not fit overflow to temporary files (in
+// the OS temp directory) that later passes re-process. Exact for any
+// window ≥ 1; the input must be uniform-dimensional.
 func SkylineBounded(data Set, window int) (Set, error) {
-	return skyline.BNLExternal(data, window)
+	if window < 1 {
+		return nil, fmt.Errorf("skymr: window size %d, need >= 1", window)
+	}
+	if len(data) == 0 {
+		return Set{}, nil
+	}
+	blk, ok := points.BlockOf(data)
+	if !ok || blk.Dim() == 0 {
+		return nil, fmt.Errorf("skymr: SkylineBounded needs points of one dimension >= 1")
+	}
+	fold := skyline.NewBudgetedFold(blk.Dim(), int64(window)*int64(blk.Dim())*8, "", 0)
+	if err := fold.Absorb(blk); err != nil {
+		return nil, err
+	}
+	out, err := fold.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return out.ToSet(), nil
 }
 
 // RepresentativeSkyline picks k spread-out members of a skyline (greedy

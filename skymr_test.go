@@ -3,6 +3,7 @@ package skymr
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -206,5 +207,132 @@ func TestPublicSequentialMatchesOracle(t *testing.T) {
 	data := uniform(9, 700, 5)
 	if !sameMultiset(Skyline(data), skyline.Naive(data)) {
 		t.Error("Skyline() disagrees with oracle")
+	}
+}
+
+// gridSet draws n points of dimension d on a coarse 0..9 grid, so ties
+// and duplicates are common.
+func gridSet(rng *rand.Rand, n, d int) Set {
+	s := make(Set, n)
+	for i := range s {
+		p := make(Point, d)
+		for j := range p {
+			p[j] = float64(rng.Intn(10))
+		}
+		s[i] = p
+	}
+	return s
+}
+
+func TestSkylineParallelMatchesBNL(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	data := gridSet(rng, 2000, 3) // ~2 copies of every grid point
+	want := skyline.BNL(data)
+	for _, workers := range []int{1, 2, 0} {
+		if got := SkylineParallel(data, workers); !sameMultiset(got, want) {
+			t.Errorf("workers=%d: %d points, BNL %d", workers, len(got), len(want))
+		}
+	}
+	mixed := Set{{1, 2}, {3}, {0, 5}}
+	if got := SkylineParallel(mixed, 2); !sameMultiset(got, skyline.BNL(mixed)) {
+		t.Errorf("mixed dimensions: %v", got)
+	}
+}
+
+func TestSkylineBoundedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 40; trial++ {
+		s := gridSet(rng, 1+rng.Intn(300), 1+rng.Intn(5))
+		want := skyline.Naive(s)
+		for _, w := range []int{1, 2, 3, 7, 64, 10000} {
+			got, err := SkylineBounded(s, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameMultiset(got, want) {
+				t.Fatalf("trial %d window %d: got %d points, want %d\n got: %v\nwant: %v",
+					trial, w, len(got), len(want), got, want)
+			}
+		}
+	}
+}
+
+func TestSkylineBoundedAntiChainTinyWindow(t *testing.T) {
+	// Worst case: nothing dominates anything, window of 1 → one emission
+	// per pass, still exact.
+	var s Set
+	for i := 0; i < 40; i++ {
+		s = append(s, Point{float64(i), float64(40 - i)})
+	}
+	got, err := SkylineBounded(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 40 {
+		t.Errorf("got %d of 40 anti-chain points", len(got))
+	}
+}
+
+func TestSkylineBoundedChain(t *testing.T) {
+	// Everything dominated by the last point; any window works in one
+	// logical pass.
+	var s Set
+	for i := 20; i >= 0; i-- {
+		s = append(s, Point{float64(i), float64(i)})
+	}
+	got, err := SkylineBounded(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0][0] != 0 {
+		t.Errorf("got %v", got)
+	}
+}
+
+func TestSkylineBoundedEdgeCases(t *testing.T) {
+	if _, err := SkylineBounded(Set{{1, 2}}, 0); err == nil {
+		t.Error("zero window accepted")
+	}
+	if _, err := SkylineBounded(Set{{1, 2}, {3}}, 4); err == nil {
+		t.Error("mixed dimensions accepted")
+	}
+	got, err := SkylineBounded(nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Errorf("empty input gave %v", got)
+	}
+	got, err = SkylineBounded(Set{{1, 1}, {1, 1}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Errorf("duplicates with window 1: got %d, want 2", len(got))
+	}
+}
+
+func TestSkylineBoundedLargeWindowEqualsBNL(t *testing.T) {
+	data := uniform(33, 500, 3)
+	got, err := SkylineBounded(data, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMultiset(got, skyline.BNL(data)) {
+		t.Error("large-window bounded BNL diverges from in-memory BNL")
+	}
+}
+
+func BenchmarkSkylineBounded(b *testing.B) {
+	data := uniform(34, 3000, 3)
+	for _, w := range []int{8, 64, 1024} {
+		b.Run(fmt.Sprintf("window%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SkylineBounded(data, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
